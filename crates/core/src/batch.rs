@@ -2,8 +2,8 @@
 //!
 //! A [`Batch`] is a run of tuples shipped through the query graph
 //! together. Moving tuples in batches amortizes per-delivery costs
-//! (channel synchronization in the threaded executor, dispatch and
-//! allocation in every executor) roughly batch-size-fold, which is what
+//! (channel synchronization between the sharded runtime's workers,
+//! dispatch and allocation in every executor) roughly batch-size-fold, which is what
 //! high-volume stream processing needs (§1's "must keep up with stream
 //! speed").
 //!

@@ -229,8 +229,8 @@ impl ApproxLineage {
 /// "archives these input tuples for later computation of the query result
 /// distributions").
 ///
-/// Thread-safe (`parking_lot::RwLock`) so a threaded query graph can
-/// archive from one operator thread and read from another.
+/// Thread-safe (`parking_lot::RwLock`) so a sharded query can archive
+/// from one worker thread and read from another.
 #[derive(Debug, Clone, Default)]
 pub struct Archive {
     inner: Arc<RwLock<HashMap<u64, Updf>>>,

@@ -7,17 +7,17 @@
 //! per-node downstream adjacency, and a sink bitset — so the per-delivery
 //! cost is an array index, not an edge-list scan plus hash lookups.
 //!
-//! Three execution modes:
+//! Two reference executors, plus the incremental session they share:
 //!
 //! - [`QueryGraph::run`] — single-threaded tuple-at-a-time push execution
 //!   in topological order; deterministic, used by tests and harnesses.
 //! - [`QueryGraph::run_batched`] — single-threaded push execution moving
 //!   [`Batch`]es of tuples; operators with batched overrides resolve
 //!   schemas once per batch and skip per-tuple allocations.
-//! - [`ThreadedExecutor`] — one thread per operator connected by bounded
-//!   crossbeam channels carrying batches; the shape a stream engine
-//!   actually deploys. Channel synchronization is amortized
-//!   batch-size-fold.
+//! - [`ExecSession`] — the long-lived form of `run_batched`
+//!   (push / drain / finish); the sharded runtime (`ustream-runtime`)
+//!   runs one per stage × shard, and that runtime is the deployment
+//!   path.
 //!
 //! Clone-avoidance rule (all modes): a tuple/batch is cloned only when
 //! fan-out requires it — once per *extra* downstream edge, plus once if
@@ -61,7 +61,7 @@ struct Edge {
 /// The execution-ready form of a [`QueryGraph`]: everything the
 /// per-delivery hot path needs, resolved once.
 ///
-/// Both executors compile the same plan, so cycle detection, topological
+/// Every executor compiles the same plan, so cycle detection, topological
 /// ordering, and adjacency live in exactly one place.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
@@ -92,11 +92,6 @@ impl CompiledPlan {
     /// Downstream `(node, port)` adjacency of `node`.
     pub fn downstream_of(&self, node: NodeId) -> &[(usize, usize)] {
         &self.downstream[node.0]
-    }
-
-    /// Whether `node` is a registered sink.
-    pub fn is_sink(&self, node: NodeId) -> bool {
-        self.is_sink[node.0]
     }
 
     /// The registered sinks, in registration order.
@@ -247,7 +242,7 @@ impl QueryGraph {
 
     /// Merge the named input streams into one timestamp-ordered feed of
     /// `(ts, node, port, tuple)` entries — the arrival order every
-    /// executor (single-threaded, threaded, sharded) presents to the
+    /// executor (single-threaded, batched, sharded) presents to the
     /// graph. Delegates to [`merged_feed`].
     pub fn ordered_feed(
         &self,
@@ -350,11 +345,10 @@ impl QueryGraph {
     /// existence probabilities, lineage. At a fan-*in* node the arrival
     /// order of tuples from different upstream paths differs within a
     /// batch window (whole batches arrive per path instead of per-tuple
-    /// interleaving), exactly as it may under the threaded executor; an
-    /// order-sensitive fan-in operator — e.g. a join whose match
-    /// probability falls back to Monte Carlo draws from the operator's
-    /// rng — can then produce different probabilities for individual
-    /// pairs, not just a different output order.
+    /// interleaving); an order-sensitive fan-in operator — e.g. a join
+    /// whose match probability falls back to Monte Carlo draws from the
+    /// operator's rng — can then produce different probabilities for
+    /// individual pairs, not just a different output order.
     pub fn run_batched(
         &mut self,
         inputs: Vec<(String, usize, Vec<Tuple>)>,
@@ -473,9 +467,9 @@ fn fresh_telemetry(n: usize) -> Vec<OpTelemetry> {
 /// Merge named input streams into one timestamp-ordered feed of
 /// `(ts, node, port, tuple)` entries. The **single home** of the feed
 /// tiebreak — `(ts, node index, port)`, stable within ties — shared by
-/// `run`/`run_batched`, the threaded executor, and the sharded
-/// session's driver: if this ordering ever changed in one executor but
-/// not another, their outputs would silently diverge.
+/// `run`/`run_batched` and the sharded session's driver: if this
+/// ordering ever changed in one executor but not another, their outputs
+/// would silently diverge.
 pub fn merged_feed(
     sources: &HashMap<String, NodeId>,
     inputs: Vec<(String, usize, Vec<Tuple>)>,
@@ -802,7 +796,7 @@ impl ExecSession {
 /// Minimum chunk length worth columnarizing before injection: below this
 /// the decompose/reassemble overhead outweighs the vectorized operator
 /// fast paths. Shared policy for every driver that assembles row runs
-/// (the batched executors here, the ingest server's merge).
+/// (`run_batched` here, the sharded session, the ingest server's merge).
 pub const COLUMNAR_MIN_CHUNK: usize = 64;
 
 /// Cut a timestamp-sorted feed into runs of up to `batch_size`
@@ -832,228 +826,6 @@ fn chunk_feed(
         }
     }
     chunks
-}
-
-/// Threaded executor: each operator runs on its own thread, connected by
-/// bounded crossbeam channels (backpressure) that carry [`Batch`]es.
-/// Inputs are fed through [`ThreadedExecutor::run`]; sink outputs are
-/// returned per node.
-///
-/// **Legacy path.** Thread-per-operator parallelism is fixed by plan
-/// shape: a small graph cannot use more cores than it has boxes, and
-/// every batch pays one channel hop per edge. The sharded runtime
-/// (`ustream-runtime`'s `ShardedExecutor`) splits the *data* across
-/// key-partitioned pipeline copies instead and is the deployment path;
-/// this executor remains as the pipeline-parallel comparison point.
-///
-/// `batch_size` controls how many consecutive same-destination input
-/// tuples ride in one message; operator outputs travel as whatever batch
-/// their operator produced. Larger batches amortize channel
-/// synchronization but delay downstream work and raise per-message
-/// memory; 64–256 is a good range for operator costs in the microsecond
-/// regime, 1 degenerates to tuple-at-a-time messaging.
-pub struct ThreadedExecutor {
-    channel_capacity: usize,
-    batch_size: usize,
-}
-
-impl Default for ThreadedExecutor {
-    fn default() -> Self {
-        ThreadedExecutor {
-            channel_capacity: 1024,
-            batch_size: 128,
-        }
-    }
-}
-
-/// Message flowing between operator threads.
-enum Msg {
-    Data(usize, Batch),
-    /// One upstream of this port finished; when all inputs of a node are
-    /// done, it flushes and shuts down.
-    Eos,
-}
-
-impl ThreadedExecutor {
-    pub fn new(channel_capacity: usize) -> Self {
-        assert!(channel_capacity > 0);
-        ThreadedExecutor {
-            channel_capacity,
-            ..Default::default()
-        }
-    }
-
-    /// Set how many input tuples ride in one channel message.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0);
-        self.batch_size = batch_size;
-        self
-    }
-
-    /// Run the graph to completion on the given inputs.
-    ///
-    /// Consumes the graph (operators move onto their threads).
-    pub fn run(
-        &self,
-        graph: QueryGraph,
-        inputs: Vec<(String, usize, Vec<Tuple>)>,
-    ) -> Result<HashMap<NodeId, Vec<Tuple>>> {
-        use crossbeam::channel::{bounded, Receiver, Sender};
-
-        // Shared compile step: cycle check + adjacency + sink bitset.
-        let plan = graph.compile()?;
-        let QueryGraph {
-            nodes,
-            edges,
-            sources,
-            sinks: _,
-        } = graph;
-        let n = nodes.len();
-
-        // One inbox per node; upstream count per node (for EOS tracking).
-        let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = bounded::<Msg>(self.channel_capacity);
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        let mut upstreams = vec![0usize; n];
-        for e in &edges {
-            upstreams[e.to.0] += 1;
-        }
-        // Source nodes also receive from the driver.
-        let mut driver_feeds = vec![0usize; n];
-        for node in sources.values() {
-            driver_feeds[node.0] += 1;
-        }
-
-        // Sink collection channel.
-        let (sink_tx, sink_rx) = bounded::<(usize, Batch)>(self.channel_capacity);
-
-        let mut handles: Vec<(String, std::thread::JoinHandle<()>)> = Vec::with_capacity(n);
-        for (i, mut op) in nodes.into_iter().enumerate() {
-            let op_name = op.name().to_string();
-            let rx = receivers[i].take().expect("receiver taken once");
-            let outs: Vec<(Sender<Msg>, usize)> = plan
-                .downstream_of(NodeId(i))
-                .iter()
-                .map(|&(to, port)| (senders[to].clone(), port))
-                .collect();
-            let sink_tx = plan.is_sink(NodeId(i)).then(|| sink_tx.clone());
-            let expected_eos = upstreams[i] + driver_feeds[i];
-            let handle = std::thread::spawn(move || {
-                // Clone-avoidance mirrors the single-threaded executors:
-                // the batch moves into the last consumer, clones go to the
-                // extra ones.
-                let deliver = |outs: &[(Sender<Msg>, usize)],
-                               sink_tx: &Option<Sender<(usize, Batch)>>,
-                               batch: Batch| {
-                    if let Some(stx) = sink_tx {
-                        if outs.is_empty() {
-                            let _ = stx.send((i, batch));
-                            return;
-                        }
-                        let _ = stx.send((i, batch.clone()));
-                    } else if outs.is_empty() {
-                        return;
-                    }
-                    let ((last_tx, last_port), rest) = outs.split_last().expect("outs non-empty");
-                    for (tx, port) in rest {
-                        let _ = tx.send(Msg::Data(*port, batch.clone()));
-                    }
-                    let _ = last_tx.send(Msg::Data(*last_port, batch));
-                };
-                let mut eos_seen = 0usize;
-                while eos_seen < expected_eos.max(1) {
-                    match rx.recv() {
-                        Ok(Msg::Data(port, batch)) => {
-                            let out = op.process_batch(port, batch);
-                            if !out.is_empty() {
-                                deliver(&outs, &sink_tx, out);
-                            }
-                        }
-                        Ok(Msg::Eos) => {
-                            eos_seen += 1;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                let fl = op.flush();
-                if !fl.is_empty() {
-                    deliver(&outs, &sink_tx, Batch::from(fl));
-                }
-                for (tx, _) in &outs {
-                    let _ = tx.send(Msg::Eos);
-                }
-            });
-            handles.push((op_name, handle));
-        }
-        drop(sink_tx);
-
-        // Drain sinks concurrently with driving: with a bounded sink
-        // channel, collecting only after all inputs are fed can deadlock
-        // (driver blocked on a full inbox, workers blocked on the full
-        // sink channel).
-        let mut collected = plan.empty_collection();
-        let collector = std::thread::spawn(move || {
-            let mut got: Vec<(usize, Vec<Tuple>)> = Vec::new();
-            while let Ok((i, batch)) = sink_rx.recv() {
-                got.push((i, batch.into_vec()));
-            }
-            got
-        });
-
-        // Drive the inputs in timestamp order, batch-size tuples at a
-        // time. A failed send means the target's thread died (panicked:
-        // a worker only drops its receiver by unwinding or finishing, and
-        // no node finishes before its driver EOS) — stop feeding and fall
-        // through to the join below, which surfaces the panic.
-        let feed = QueryGraph::build_feed(&sources, inputs)?;
-        let mut feed_failed = false;
-        for (node, port, batch) in chunk_feed(feed, self.batch_size) {
-            if senders[node].send(Msg::Data(port, batch)).is_err() {
-                feed_failed = true;
-                break;
-            }
-        }
-        // Signal EOS to driver-fed nodes (once per registered source feed)
-        // and to pure-source nodes with no upstream at all.
-        for i in 0..n {
-            let feeds = driver_feeds[i];
-            for _ in 0..feeds {
-                let _ = senders[i].send(Msg::Eos);
-            }
-            if feeds == 0 && upstreams[i] == 0 {
-                let _ = senders[i].send(Msg::Eos);
-            }
-        }
-        drop(senders);
-
-        for (i, tuples) in collector.join().expect("sink collector thread") {
-            collected.entry(NodeId(i)).or_default().extend(tuples);
-        }
-        // A panicking operator must surface as an `Err` at the driver,
-        // never as a hang or a silently truncated result set.
-        let mut panics: Vec<String> = Vec::new();
-        for (name, h) in handles {
-            if let Err(payload) = h.join() {
-                panics.push(format!(
-                    "`{name}`: {}",
-                    crate::error::panic_message(payload.as_ref())
-                ));
-            }
-        }
-        if !panics.is_empty() {
-            return Err(EngineError::OperatorPanicked(panics.join("; ")));
-        }
-        if feed_failed {
-            return Err(EngineError::InvalidGraph(
-                "operator thread disconnected mid-stream".into(),
-            ));
-        }
-        Ok(collected)
-    }
 }
 
 #[cfg(test)]
@@ -1124,7 +896,7 @@ mod tests {
         let plan = g.compile().unwrap();
         assert_eq!(plan.num_nodes(), 2);
         assert_eq!(plan.topo_order().len(), 2);
-        assert!(plan.is_sink(sink));
+        assert_eq!(plan.sinks(), &[sink]);
         assert_eq!(plan.downstream_of(NodeId(0)), &[(1, 0)]);
         assert!(plan.downstream_of(sink).is_empty());
     }
@@ -1258,98 +1030,5 @@ mod tests {
         let (g3, _) = doubling_graph();
         let s = g3.into_session().unwrap().without_instrumentation();
         assert!(s.node_telemetry().is_none());
-    }
-
-    #[test]
-    fn threaded_matches_single_threaded() {
-        let (mut g1, sink1) = doubling_graph();
-        let inputs: Vec<Tuple> = (0..200).map(|i| t(i, i as i64)).collect();
-        let single = g1
-            .run(vec![("in".into(), 0, inputs.clone())])
-            .unwrap()
-            .remove(&sink1)
-            .unwrap();
-
-        let (g2, sink2) = doubling_graph();
-        let exec = ThreadedExecutor::default();
-        let threaded = exec
-            .run(g2, vec![("in".into(), 0, inputs)])
-            .unwrap()
-            .remove(&sink2)
-            .unwrap();
-
-        assert_eq!(single.len(), threaded.len());
-        let mut a: Vec<i64> = single.iter().map(|t| t.int("v").unwrap()).collect();
-        let mut b: Vec<i64> = threaded.iter().map(|t| t.int("v").unwrap()).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn threaded_batch_size_does_not_change_results() {
-        let inputs: Vec<Tuple> = (0..200).map(|i| t(i, i as i64)).collect();
-        let mut reference: Option<Vec<i64>> = None;
-        for bs in [1usize, 3, 64, 1024] {
-            let (g, sink) = doubling_graph();
-            let exec = ThreadedExecutor::new(16).with_batch_size(bs);
-            let out = exec
-                .run(g, vec![("in".into(), 0, inputs.clone())])
-                .unwrap()
-                .remove(&sink)
-                .unwrap();
-            let mut vs: Vec<i64> = out.iter().map(|t| t.int("v").unwrap()).collect();
-            vs.sort();
-            match &reference {
-                None => reference = Some(vs),
-                Some(r) => assert_eq!(r, &vs, "batch size {bs}"),
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_flush_cascades() {
-        // A windowed op that only emits on flush must still reach sinks.
-        use crate::ops::aggregate::{AggFunc, AggSpec, Strategy, WindowKind, WindowedAggregate};
-        use crate::updf::Updf;
-        use ustream_prob::dist::Dist;
-
-        let s = Schema::builder()
-            .field("g", DataType::Int)
-            .field("w", DataType::Uncertain)
-            .build();
-        let mk = |ts: u64| {
-            Tuple::new(
-                s.clone(),
-                vec![
-                    Value::from(1i64),
-                    Value::from(Updf::Parametric(Dist::gaussian(1.0, 0.1))),
-                ],
-                ts,
-            )
-        };
-        let mut g = QueryGraph::new();
-        let agg = g.add(Box::new(WindowedAggregate::new(
-            WindowKind::Tumbling(1_000_000),
-            |_| crate::value::GroupKey::Unit,
-            vec![AggSpec {
-                field: "w".into(),
-                func: AggFunc::Sum,
-                out: "total".into(),
-                strategy: Strategy::ExactParametric,
-            }],
-        )));
-        let sink = g.add(Box::new(Passthrough::new("sink")));
-        g.connect(agg, sink, 0).unwrap();
-        g.source("in", agg);
-        g.sink(sink);
-
-        let exec = ThreadedExecutor::default();
-        let out = exec
-            .run(g, vec![("in".into(), 0, (0..5).map(mk).collect())])
-            .unwrap();
-        let results = &out[&sink];
-        assert_eq!(results.len(), 1, "window only closes at flush");
-        assert!((results[0].updf("total").unwrap().mean() - 5.0).abs() < 1e-9);
     }
 }

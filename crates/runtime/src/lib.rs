@@ -38,12 +38,7 @@
 //!   driver returns
 //!   [`ustream_core::error::EngineError::OperatorPanicked`] — never a
 //!   hang, never a silently truncated result.
-//!
-//! The thread-per-operator `ThreadedExecutor` in `ustream-core` remains
-//! as the legacy comparison point; this runtime is the deployment path
-//! (data parallelism scales with cores, not with plan shape).
 
-pub mod merge;
 pub mod plan;
 pub mod report;
 pub mod session;
@@ -70,13 +65,11 @@ pub struct ShardedExecutor {
     channel_capacity: usize,
     batch_size: usize,
     pool_buffers: usize,
-    eager: bool,
 }
 
 impl ShardedExecutor {
     /// An executor with `shards` logical partitions. Worker count
-    /// defaults to `min(shards, available cores)`; pipelined (eager)
-    /// exchange delivery is on.
+    /// defaults to `min(shards, available cores)`.
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
         ShardedExecutor {
@@ -85,7 +78,6 @@ impl ShardedExecutor {
             channel_capacity: 64,
             batch_size: 512,
             pool_buffers: 4 * shards,
-            eager: true,
         }
     }
 
@@ -109,18 +101,6 @@ impl ShardedExecutor {
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         assert!(batch_size > 0);
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Toggle **pipelined exchange delivery** (default on). When on,
-    /// each watermark interval a push seals is forwarded downstream
-    /// immediately — stage N+1 consumes interval k while stage N
-    /// produces interval k+1 — and the lean hot-path optimizations
-    /// (direct stage-0 routing, columnar exchange runs, single-slot
-    /// fast paths) engage. Output is byte-identical either way; `false`
-    /// restores the drain-barrier-only sweep for comparison runs.
-    pub fn with_eager_exchange(mut self, eager: bool) -> Self {
-        self.eager = eager;
         self
     }
 
@@ -159,7 +139,6 @@ impl ShardedExecutor {
             self.channel_capacity,
             self.batch_size,
             self.pool_buffers,
-            self.eager,
             &factory,
         )
     }

@@ -55,8 +55,7 @@ pub struct StageReport {
     /// Tuples forwarded across the upstream exchange (0 for stage 0).
     pub exchange_forwarded: u64,
     /// Eager (pipelined) forward rounds that delivered tuples into this
-    /// stage ahead of a drain/finish barrier (0 for stage 0, and when
-    /// pipelined delivery is disabled).
+    /// stage ahead of a drain/finish barrier (0 for stage 0).
     pub eager_forwards: u64,
     /// Eager intervals forwarded into this stage since its last
     /// drain/finish barrier — the pipeline's run-ahead depth.

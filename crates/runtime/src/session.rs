@@ -32,6 +32,12 @@
 //! output. Output at a cut node feeds the next stage's pool; output at
 //! a real sink is held until the watermark seals its timestamp.
 //!
+//! Exchange delivery is pipelined: every push or bare watermark advance
+//! that moves the watermark runs an *eager* sweep, so stage N+1 consumes
+//! a sealed interval while stage N produces the next one. Drains and
+//! `finish` run the same sweep as a barrier that also releases held
+//! sink output.
+//!
 //! ## Watermark discipline and determinism
 //!
 //! The session watermark W is the highest timestamp pushed so far; the
@@ -291,13 +297,6 @@ struct StagedCore {
     watermark: u64,
     failed: Option<String>,
     telem: SessionTelemetry,
-    /// Pipelined exchange delivery: forward each sealed watermark
-    /// interval downstream as soon as it seals, instead of parking it
-    /// until the next drain/finish barrier. Also gates the lean-path
-    /// optimizations (direct stage-0 routing, columnar exchange runs,
-    /// single-consumer delivery). On by default; disabled via
-    /// [`crate::ShardedExecutor::with_eager_exchange`].
-    eager: bool,
     /// Watermark as of the last eager sweep — an eager sweep runs only
     /// when the watermark has moved past it.
     eager_swept: u64,
@@ -404,10 +403,9 @@ impl StagedCore {
         result
     }
 
-    /// Ship the slot's pending run to its session. On the lean (eager)
-    /// path, runs long enough to benefit go columnar on the way in, so
-    /// downstream operators keep their vectorized kernels after the
-    /// exchange.
+    /// Ship the slot's pending run to its session. Runs long enough to
+    /// benefit go columnar on the way in, so downstream operators keep
+    /// their vectorized kernels after the exchange.
     fn flush_builder(&mut self, stage: usize, shard: usize) -> Result<()> {
         let slot = self.slot_id(stage, shard);
         if self.builders[slot].batch.is_empty() {
@@ -417,7 +415,7 @@ impl StagedCore {
         let b = &mut self.builders[slot];
         let mut batch = std::mem::replace(&mut b.batch, replacement);
         let (node, port) = (b.node, b.port);
-        if self.eager && !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
+        if !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
             batch.columnarize();
         }
         self.push_run_to_slot(stage, shard, node, port, batch)
@@ -470,12 +468,12 @@ impl StagedCore {
         self.push_run_to_slot(0, shard, node, port, Batch::from_columns(cols))
     }
 
-    /// Stage-0 external row batches on the lean path: compute every
-    /// row's shard up front (one panic guard for the whole batch instead
-    /// of one per tuple), partition preserving per-shard order, and
-    /// deliver each shard's run directly — no `SlotBuilder`
-    /// accumulation and no `BatchPool` round-trip. Runs long enough to
-    /// benefit go columnar on the way in.
+    /// Stage-0 external row batches of at least `COLUMNAR_MIN_CHUNK`
+    /// tuples: compute every row's shard up front (one panic guard for
+    /// the whole batch instead of one per tuple), partition preserving
+    /// per-shard order, and deliver each shard's run directly — no
+    /// `SlotBuilder` accumulation and no `BatchPool` round-trip. Runs
+    /// long enough to benefit go columnar on the way in.
     fn route_rows_direct(&mut self, node: usize, port: usize, batch: Batch) -> Result<()> {
         let rule = self.plan.rule(NodeId::from_index(node));
         let mut row_shard: Vec<usize> = Vec::with_capacity(batch.len());
@@ -497,12 +495,12 @@ impl StagedCore {
         for (t, &s) in batch.into_vec().into_iter().zip(&row_shard) {
             per_shard[s].push(t);
         }
-        for shard in 0..self.shards {
-            if per_shard[shard].is_empty() {
+        for (shard, rows) in per_shard.iter_mut().enumerate() {
+            if rows.is_empty() {
                 continue;
             }
             self.flush_builder(0, shard)?;
-            let mut run = Batch::from(std::mem::take(&mut per_shard[shard]));
+            let mut run = Batch::from(std::mem::take(rows));
             if run.len() >= COLUMNAR_MIN_CHUNK {
                 run.columnarize();
             }
@@ -633,7 +631,7 @@ impl StagedCore {
     /// the barrier schedule); held sink output still waits for
     /// [`StagedCore::drain_collected`]/[`StagedCore::finish`].
     fn maybe_eager_sweep(&mut self) -> Result<()> {
-        if !self.eager || self.watermark <= self.eager_swept {
+        if self.watermark <= self.eager_swept {
             return Ok(());
         }
         self.eager_swept = self.watermark;
@@ -651,7 +649,7 @@ impl StagedCore {
             if batch.is_columnar() && self.route_columns(node.index(), port, &mut batch)? {
                 return Ok(());
             }
-            if self.eager && !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
+            if !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
                 return self.route_rows_direct(node.index(), port, batch);
             }
             for tuple in batch {
@@ -843,9 +841,8 @@ impl StagedCore {
                 // stage runs on a single slot its output pooled in
                 // emission order; a strictly-ascending pre-check skips
                 // the sort (and the tie pass) entirely.
-                let presorted = self.eager
-                    && (self.shards == 1 || self.plan.single_producer(stage))
-                    && keyed.windows(2).all(|w| w[0].0 < w[1].0);
+                let presorted =
+                    self.plan.single_producer(stage) && keyed.windows(2).all(|w| w[0].0 < w[1].0);
                 if !presorted {
                     keyed.sort_by(|(a, _), (b, _)| a.cmp(b));
                     let mut i = 0;
@@ -861,7 +858,7 @@ impl StagedCore {
                     }
                 }
                 forwarded = keyed.len();
-                if self.eager && self.plan.single_consumer(stage) {
+                if self.plan.single_consumer(stage) {
                     // Every entry of this stage is pinned: the whole
                     // sealed interval lands on shard 0. Skip the
                     // per-tuple shard computation and builder
@@ -976,7 +973,13 @@ impl StagedCore {
 
     /// Deliver one accumulated single-consumer run to `(stage, 0)` as a
     /// single batch, columnar when long enough to benefit.
-    fn ship_run(&mut self, stage: usize, node: usize, port: usize, run: &mut Vec<Tuple>) -> Result<()> {
+    fn ship_run(
+        &mut self,
+        stage: usize,
+        node: usize,
+        port: usize,
+        run: &mut Vec<Tuple>,
+    ) -> Result<()> {
         if run.is_empty() {
             return Ok(());
         }
@@ -1079,11 +1082,6 @@ struct SingleCore {
     session: Option<ExecSession>,
     failed: Option<String>,
     telem: SessionTelemetry,
-    /// Lean staged hot path: columnarize long row pushes up front so
-    /// the pipeline runs its vectorized kernels, exactly as
-    /// `run_batched`'s chunk feed does. Shares the eager-exchange flag
-    /// since both are the same "pipelined delivery" configuration.
-    eager: bool,
     /// Highest timestamp pushed so far (event-time high water).
     high_water: u64,
     /// Watermark most recently sealed via `advance_watermark`.
@@ -1132,14 +1130,17 @@ impl ShardedSession {
     /// containment. The shape a server uses when it was handed a built
     /// graph rather than a factory.
     pub fn single(graph: QueryGraph) -> Result<ShardedSession> {
-        let sources: HashMap<String, NodeId> = graph
-            .source_entries()
-            .map(|(name, id)| (name.to_string(), id))
-            .collect();
         let plan_text = graph
             .compile()
             .map(|compiled| ShardPlan::analyze(&graph, &compiled).describe())
             .unwrap_or_default();
+        Self::single_pipeline(graph, plan_text)
+    }
+
+    /// The single-pipeline core over `graph`, with its telemetry
+    /// harvested and labelled with `plan_text`.
+    fn single_pipeline(graph: QueryGraph, plan_text: String) -> Result<ShardedSession> {
+        let sources = source_map(&graph);
         let session = graph.into_session()?;
         let telem = single_telemetry(&session);
         telem.set_plan(plan_text);
@@ -1149,7 +1150,6 @@ impl ShardedSession {
                 session: Some(session),
                 failed: None,
                 telem,
-                eager: true,
                 high_water: 0,
                 sealed: 0,
                 active_trace: None,
@@ -1163,39 +1163,20 @@ impl ShardedSession {
         channel_capacity: usize,
         batch_size: usize,
         pool_buffers: usize,
-        eager: bool,
         factory: &dyn Fn() -> QueryGraph,
     ) -> Result<ShardedSession> {
         let prototype = factory();
         let compiled = prototype.compile()?;
         let plan = ShardPlan::analyze(&prototype, &compiled);
-        let sources: HashMap<String, NodeId> = prototype
-            .source_entries()
-            .map(|(name, id)| (name.to_string(), id))
-            .collect();
 
         // Single pipeline when sharding cannot help: one shard
         // configured, or a fully pinned plan. The plain session also
         // preserves exact sink *arrival* order, which multi-shard
         // release trades for the canonical order.
         if shards == 1 || !plan.is_parallel() {
-            let plan_text = plan.describe();
-            let session = prototype.into_session()?;
-            let telem = single_telemetry(&session);
-            telem.set_plan(plan_text);
-            return Ok(ShardedSession {
-                sources,
-                core: Core::Single(Box::new(SingleCore {
-                    session: Some(session),
-                    failed: None,
-                    telem,
-                    eager,
-                    high_water: 0,
-                    sealed: 0,
-                    active_trace: None,
-                })),
-            });
+            return Self::single_pipeline(prototype, plan.describe());
         }
+        let sources = source_map(&prototype);
 
         let n = compiled.num_nodes();
         let num_stages = plan.num_stages();
@@ -1329,7 +1310,6 @@ impl ShardedSession {
                 watermark: 0,
                 failed: None,
                 telem,
-                eager,
                 eager_swept: 0,
                 eager_depth: vec![0; num_stages],
                 fwd_buf: Vec::new(),
@@ -1372,7 +1352,7 @@ impl ShardedSession {
                 // front (bit-identical per the columnar property
                 // suites), so a session-driven single pipeline runs the
                 // same vectorized kernels as `run_batched`'s chunk feed.
-                if s.eager && !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
+                if !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
                     batch.columnarize();
                 }
                 let tuples = batch.len();
@@ -1538,6 +1518,14 @@ impl ShardedSession {
             }
         }
     }
+}
+
+/// The graph's named source entries, by name.
+fn source_map(graph: &QueryGraph) -> HashMap<String, NodeId> {
+    graph
+        .source_entries()
+        .map(|(name, id)| (name.to_string(), id))
+        .collect()
 }
 
 /// Harvest a single-pipeline session's per-node counters into a fresh

@@ -133,8 +133,7 @@ impl SessionTelemetry {
     }
 
     /// Eager forward rounds that delivered tuples into `stage` ahead of
-    /// a drain/finish barrier (always 0 for stage 0, and for sessions
-    /// running with pipelined delivery disabled).
+    /// a drain/finish barrier (always 0 for stage 0).
     pub fn eager_forwards(&self, stage: usize) -> &Counter {
         &self.eager_forwards[stage]
     }

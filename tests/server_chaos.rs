@@ -450,7 +450,7 @@ fn chaos_storm_over_pipelined_staged_serving() {
     subscriber.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
 
     let proxies: Vec<ChaosProxy> = (0..3)
-        .map(|p| ChaosProxy::seeded(addr, 0xEA6E_Fu64.wrapping_mul(1009).wrapping_add(p)).unwrap())
+        .map(|p| ChaosProxy::seeded(addr, 0xEA6EFu64.wrapping_mul(1009).wrapping_add(p)).unwrap())
         .collect();
     let threads: Vec<_> = proxies
         .iter()
@@ -458,7 +458,7 @@ fn chaos_storm_over_pipelined_staged_serving() {
         .map(|(p, proxy)| {
             let slice: Vec<Tuple> = all.iter().skip(p).step_by(3).cloned().collect();
             let paddr = proxy.addr();
-            let config = chaotic_client_config(0xEA6E_F + p as u64);
+            let config = chaotic_client_config(0xEA6EF + p as u64);
             std::thread::spawn(move || {
                 let mut client = Client::publisher_manual_with(paddr, config).unwrap();
                 for chunk in slice.chunks(37) {

@@ -16,7 +16,7 @@ use uncertain_streams::core::ops::select::{Predicate, Select};
 use uncertain_streams::core::ops::{Operator, Passthrough};
 use uncertain_streams::core::schema::{DataType, Schema};
 use uncertain_streams::core::{
-    EngineError, GroupKey, NodeId, QueryGraph, ThreadedExecutor, Tuple, Updf, Value,
+    canonical_sort, EngineError, GroupKey, NodeId, QueryGraph, Tuple, Updf, Value,
 };
 use uncertain_streams::prob::dist::Dist;
 use uncertain_streams::runtime::ShardedExecutor;
@@ -289,14 +289,30 @@ fn fanout_graph() -> (QueryGraph, NodeId, NodeId) {
     (g, agg, raw)
 }
 
+/// 25 tuples inside one tumbling window: the aggregate emits only when
+/// end of stream flushes it, so its row exists only if EOS reaches
+/// every fan-out branch.
+fn flush_only_inputs() -> Vec<Tuple> {
+    let schema = Schema::builder()
+        .field("g", DataType::Int)
+        .field("x", DataType::Uncertain)
+        .build();
+    (0..25u64)
+        .map(|i| {
+            Tuple::new(
+                schema.clone(),
+                vec![
+                    Value::Int(1),
+                    Value::from(Updf::Parametric(Dist::gaussian(2.0, 0.1))),
+                ],
+                i,
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn fanout_branches_match_run_batched() {
-    let inputs = q1_inputs();
-    let (mut g, agg, raw) = fanout_graph();
-    let single = g
-        .run_batched(vec![("in".into(), 0, inputs.clone())], 64)
-        .unwrap();
-    let ref_agg = canonical(&single[&agg]);
     let raw_rows = |ts: &[Tuple]| {
         let mut rows: Vec<_> = ts
             .iter()
@@ -305,23 +321,45 @@ fn fanout_branches_match_run_batched() {
         rows.sort();
         rows
     };
-    let ref_raw = raw_rows(&single[&raw]);
-    assert!(!ref_agg.is_empty() && !ref_raw.is_empty());
-
-    for shards in [2usize, 8] {
-        let exec = ShardedExecutor::new(shards)
-            .with_workers(2)
-            .with_batch_size(64);
-        let out = exec
-            .run(|| fanout_graph().0, vec![("in".into(), 0, inputs.clone())])
+    let cases = [
+        (q1_inputs(), [2usize, 8], 64),
+        (flush_only_inputs(), [1, 2], 8),
+    ];
+    for (inputs, shard_counts, batch_size) in cases {
+        let (mut g, agg, raw) = fanout_graph();
+        let single = g
+            .run_batched(vec![("in".into(), 0, inputs.clone())], batch_size)
             .unwrap();
-        assert_eq!(
-            ref_agg,
-            canonical(&out[&agg]),
-            "agg branch, shards={shards}"
-        );
-        assert_eq!(ref_raw, raw_rows(&out[&raw]), "raw branch, shards={shards}");
+        let ref_agg = canonical(&single[&agg]);
+        let ref_raw = raw_rows(&single[&raw]);
+        assert!(!ref_agg.is_empty() && !ref_raw.is_empty());
+
+        for shards in shard_counts {
+            let exec = ShardedExecutor::new(shards)
+                .with_workers(2)
+                .with_batch_size(batch_size);
+            let out = exec
+                .run(|| fanout_graph().0, vec![("in".into(), 0, inputs.clone())])
+                .unwrap();
+            assert_eq!(
+                ref_agg,
+                canonical(&out[&agg]),
+                "agg branch, shards={shards}"
+            );
+            assert_eq!(ref_raw, raw_rows(&out[&raw]), "raw branch, shards={shards}");
+        }
     }
+
+    // The flush-only window closes exactly once, at end of stream, with
+    // the exact parametric sum of its 25 members.
+    let (mut g, agg, _) = fanout_graph();
+    let out = g
+        .run_batched(vec![("in".into(), 0, flush_only_inputs())], 8)
+        .unwrap();
+    let rows = &out[&agg];
+    assert_eq!(rows.len(), 1, "the window only closes at flush");
+    assert_eq!(rows[0].int("n_tuples").unwrap(), 25);
+    assert!((rows[0].updf("total").unwrap().mean() - 50.0).abs() < 1e-9);
 }
 
 // ---------------------------------------------------------------------
@@ -652,9 +690,9 @@ fn staged_agg_into_agg_on_different_key_matches_run_batched_bit_exactly() {
 // must never show in the output.
 // ---------------------------------------------------------------------
 
-/// The full pipelining matrix: eager {on, off} × shards {1, 2, 8} ×
-/// workers {1, 2} over the staged agg→join graph, every cell exactly
-/// equal (values/ts/existence/lineage) to `run_batched`.
+/// The full pipelining matrix: shards {1, 2, 8} × workers {1, 2} over
+/// the staged agg→join graph, every cell exactly equal
+/// (values/ts/existence/lineage) to `run_batched`.
 #[test]
 fn pipelined_delivery_matrix_matches_run_batched() {
     let (readings, refs) = agg_join_inputs();
@@ -668,47 +706,36 @@ fn pipelined_delivery_matrix_matches_run_batched() {
     let reference = joined_rows(&g.run_batched(feeds(), 64).unwrap()[&sink]);
     assert!(!reference.is_empty(), "windows joined against references");
 
-    for eager in [true, false] {
-        for shards in [1usize, 2, 8] {
-            for workers in [1usize, 2] {
-                let exec = ShardedExecutor::new(shards)
-                    .with_workers(workers)
-                    .with_batch_size(48)
-                    .with_eager_exchange(eager);
-                let out = exec.run(|| agg_join_graph().0, feeds()).unwrap();
-                assert_eq!(
-                    reference,
-                    joined_rows(&out[&sink]),
-                    "eager={eager} shards={shards} workers={workers} diverged from run_batched"
-                );
-            }
+    for shards in [1usize, 2, 8] {
+        for workers in [1usize, 2] {
+            let exec = ShardedExecutor::new(shards)
+                .with_workers(workers)
+                .with_batch_size(48);
+            let out = exec.run(|| agg_join_graph().0, feeds()).unwrap();
+            assert_eq!(
+                reference,
+                joined_rows(&out[&sink]),
+                "shards={shards} workers={workers} diverged from run_batched"
+            );
         }
     }
 }
 
-/// Byte-for-byte across the toggle: the merged output rendering (full
-/// Debug of every distribution parameter, existence bits, lineage) with
-/// pipelined delivery on must equal the drain-barrier rendering at
-/// every shard/worker config.
+/// Byte for byte across deployments: the merged output rendering (full
+/// Debug of every distribution parameter, existence bits, lineage) is
+/// the same at every shard/worker config, and equals `run_batched`'s
+/// rendering in canonical order.
 #[test]
-fn pipelined_and_barrier_delivery_render_identical_bytes() {
+fn pipelined_delivery_renders_identical_bytes() {
     let (readings, refs) = agg_join_inputs();
-    let render = |shards: usize, workers: usize, eager: bool| -> String {
-        let exec = ShardedExecutor::new(shards)
-            .with_workers(workers)
-            .with_batch_size(32)
-            .with_eager_exchange(eager);
-        let (_, sink) = agg_join_graph();
-        let out = exec
-            .run(
-                || agg_join_graph().0,
-                vec![
-                    ("readings".to_string(), 0usize, readings.clone()),
-                    ("refs".to_string(), 1usize, refs.clone()),
-                ],
-            )
-            .unwrap();
-        out[&sink]
+    let feeds = || {
+        vec![
+            ("readings".to_string(), 0usize, readings.clone()),
+            ("refs".to_string(), 1usize, refs.clone()),
+        ]
+    };
+    let render_rows = |tuples: &[Tuple]| -> String {
+        tuples
             .iter()
             .map(|t| {
                 format!(
@@ -720,36 +747,41 @@ fn pipelined_and_barrier_delivery_render_identical_bytes() {
             })
             .collect()
     };
-    let reference = render(4, 2, true);
-    assert_eq!(
-        reference,
-        render(4, 2, false),
-        "the toggle must not change one byte"
-    );
-    assert_eq!(reference, render(2, 1, false), "barrier, other config");
-    assert_eq!(reference, render(8, 2, true), "eager, other config");
-    assert_eq!(reference, render(1, 1, true), "single pipeline agrees");
+    let render = |shards: usize, workers: usize| -> String {
+        let exec = ShardedExecutor::new(shards)
+            .with_workers(workers)
+            .with_batch_size(32);
+        let (_, sink) = agg_join_graph();
+        let out = exec.run(|| agg_join_graph().0, feeds()).unwrap();
+        render_rows(&out[&sink])
+    };
+    let reference = render(4, 2);
+    assert_eq!(reference, render(2, 1), "other shard/worker config");
+    assert_eq!(reference, render(8, 2), "other shard count");
+    assert_eq!(reference, render(1, 1), "single pipeline agrees");
+
+    let (mut g, sink) = agg_join_graph();
+    let mut batched = g.run_batched(feeds(), 64).unwrap().remove(&sink).unwrap();
+    canonical_sort(&mut batched);
+    assert_eq!(reference, render_rows(&batched), "run_batched agrees");
 }
 
-/// The eager telemetry is an honest A/B witness: a pipelined run ticks
-/// `eager_forwards` on the exchange stage, a barrier run leaves it at
-/// zero, the total exchange traffic is identical either way, the
-/// run-ahead depth gauge reads zero once the finish barrier drained
-/// everything — and the outputs match exactly.
+/// The eager telemetry is an honest witness: a pipelined run ticks
+/// `eager_forwards` on the exchange stage, the run-ahead depth gauge
+/// reads zero once the finish barrier drained everything, and the
+/// output matches `run_batched` exactly.
 #[test]
 fn eager_forward_counters_tick_only_with_pipelining_on() {
     let inputs = q1_inputs();
-    let run = |eager: bool| -> (Vec<String>, u64, u64, i64) {
-        let exec = ShardedExecutor::new(4)
-            .with_workers(2)
-            .with_batch_size(48)
-            .with_eager_exchange(eager);
-        let (_, sink) = agg_agg_graph();
-        let mut session = exec.session(|| agg_agg_graph().0).unwrap();
-        let telem = session.telemetry().clone();
-        push_feed(&mut session, vec![("in".into(), 0, inputs.clone())], 48);
-        let out = session.finish().unwrap();
-        let mut rows: Vec<String> = out[&sink]
+    let exec = ShardedExecutor::new(4).with_workers(2).with_batch_size(48);
+    let (_, sink) = agg_agg_graph();
+    let mut session = exec.session(|| agg_agg_graph().0).unwrap();
+    let telem = session.telemetry().clone();
+    push_feed(&mut session, vec![("in".into(), 0, inputs.clone())], 48);
+    let out = session.finish().unwrap();
+
+    let render = |tuples: &[Tuple]| -> Vec<String> {
+        let mut rows: Vec<String> = tuples
             .iter()
             .map(|t| {
                 format!(
@@ -761,29 +793,23 @@ fn eager_forward_counters_tick_only_with_pipelining_on() {
             })
             .collect();
         rows.sort();
-        (
-            rows,
-            telem.eager_forwards(1).get(),
-            telem.exchange_forwarded(1).get(),
-            telem.interval_depth(1).get(),
-        )
+        rows
     };
-
-    let (rows_on, eager_on, fwd_on, depth_on) = run(true);
-    let (rows_off, eager_off, fwd_off, depth_off) = run(false);
-    assert!(!rows_on.is_empty());
-    assert_eq!(rows_on, rows_off, "the toggle must not change the output");
+    let (mut g, batched_sink) = agg_agg_graph();
+    let want = render(&g.run_batched(vec![("in".into(), 0, inputs)], 48).unwrap()[&batched_sink]);
+    let rows = render(&out[&sink]);
+    assert!(!rows.is_empty());
+    assert_eq!(rows, want, "pipelined delivery must not change the output");
     assert!(
-        eager_on > 0,
+        telem.eager_forwards(1).get() > 0,
         "pipelined delivery must have forwarded intervals ahead of the barrier"
     );
-    assert_eq!(eager_off, 0, "barrier-only runs never forward eagerly");
+    assert!(telem.exchange_forwarded(1).get() > 0);
     assert_eq!(
-        fwd_on, fwd_off,
-        "the same tuples cross the exchange either way"
+        telem.interval_depth(1).get(),
+        0,
+        "the finish barrier resets the run-ahead depth"
     );
-    assert_eq!(depth_on, 0, "the finish barrier resets the run-ahead depth");
-    assert_eq!(depth_off, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -1191,20 +1217,4 @@ fn single_pipeline_session_telemetry_reconciles_without_perturbation() {
         .all()
         .iter()
         .any(|e| matches!(e.detail, TraceDetail::BatchPumped { .. })));
-}
-
-#[test]
-fn threaded_executor_surfaces_operator_panics() {
-    let (g, _) = panic_graph(250);
-    let exec = ThreadedExecutor::new(16).with_batch_size(8);
-    let err = exec
-        .run(g, vec![("in".into(), 0, panic_inputs())])
-        .unwrap_err();
-    match err {
-        EngineError::OperatorPanicked(msg) => {
-            assert!(msg.contains("panic-on"), "panicking operator named: {msg}");
-            assert!(msg.contains("injected operator failure"), "msg: {msg}");
-        }
-        other => panic!("expected OperatorPanicked, got {other:?}"),
-    }
 }
