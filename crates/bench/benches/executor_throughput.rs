@@ -14,8 +14,13 @@
 //! medians. The headline comparisons are `single/tuple_at_a_time`
 //! against `single/batched/1024` and `single/batched/1024` against
 //! `sharded/4/1024`. The sharded worker pool sizes itself to
-//! `min(shards, cores)`, so on a single-core box the sharded rows
-//! measure routing + merge overhead at zero parallelism.
+//! `min(shards, cores)`: on a 2-core box every `sharded/N` and
+//! `staged/N` row with N ≥ 2 runs one remote worker beside the driver,
+//! which runs its own slots inline. These rows push the whole feed and
+//! finish without mid-stream drains, so they price routing, exchange
+//! sorting, and one synchronous barrier round trip per stage per
+//! watermark move; drain-cadence sessions are measured end to end by
+//! the `session_staged` workload of `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::collections::HashMap;

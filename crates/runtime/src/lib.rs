@@ -19,6 +19,12 @@
 //!   partitioning (and therefore the output); the worker pool defaults
 //!   to `min(shards, available cores)`. The same plan runs unchanged —
 //!   and produces identical bytes — on a laptop and a 64-core box.
+//! - **Workers overlap the driver.** The driver is worker 0 and runs
+//!   its own slots inline, but it always hands the remote workers their
+//!   share of a push, a watermark, or a barrier first, and a drain skips
+//!   the barrier of any stage with nothing new since its last one. On a
+//!   2-CPU box two workers match one, within noise, on the staged
+//!   agg→join session.
 //! - **Soundness over parallelism.** Graphs containing a
 //!   [`ustream_core::Partitioning::Global`] operator (count windows,
 //!   probabilistic joins, sampling aggregates) fall back to the

@@ -5,7 +5,7 @@
 //! [`PlanReport`] overlays the *live* numbers from a running session's
 //! [`crate::telemetry::SessionTelemetry`] onto that topology: per-stage
 //! routing counts and skew, exchange forward totals, pool depths,
-//! watermark-lag quantiles (per stage and merged across stages), and
+//! barrier wait and skipped barriers, watermark-lag quantiles (per stage and merged across stages), and
 //! per-operator tuple/batch/busy counters with the columnar-vs-row
 //! split. Assembly is read-only — it snapshots the same atomic cells
 //! the engine bumps, so an EXPLAIN ANALYZE never perturbs the run.
@@ -62,6 +62,11 @@ pub struct StageReport {
     pub interval_depth: i64,
     /// Pending exchange-pool depth at the last sweep.
     pub pool_depth: i64,
+    /// Nanoseconds the driver spent blocked on worker replies at this
+    /// stage's barriers.
+    pub barrier_wait_ns: u64,
+    /// Drain barriers skipped because the stage had nothing new.
+    pub barriers_skipped: u64,
     /// This stage's watermark-lag distribution.
     pub lag: SketchSnapshot,
     /// Max/mean of `routed` (1.0 = perfectly balanced; 0.0 when the
@@ -130,6 +135,8 @@ impl PlanReport {
                     eager_forwards: telemetry.eager_forwards(stage).get(),
                     interval_depth: telemetry.interval_depth(stage).get(),
                     pool_depth: telemetry.pool_depth(stage).get(),
+                    barrier_wait_ns: telemetry.barrier_wait_ns(stage).get(),
+                    barriers_skipped: telemetry.barriers_skipped(stage).get(),
                     lag: telemetry.watermark_lag(stage).snapshot(),
                     skew,
                     ops,
@@ -178,7 +185,8 @@ impl PlanReport {
             let _ = writeln!(
                 out,
                 "analyze: stage {}: routed [{}] (skew {:.2}x), forwarded {} \
-                 ({} eager rounds, depth {}), pool {}, lag {}",
+                 ({} eager rounds, depth {}), pool {}, barrier wait {}ns \
+                 ({} skipped), lag {}",
                 s.stage,
                 routed.join(", "),
                 s.skew,
@@ -186,6 +194,8 @@ impl PlanReport {
                 s.eager_forwards,
                 s.interval_depth,
                 s.pool_depth,
+                s.barrier_wait_ns,
+                s.barriers_skipped,
                 fmt_lag(&s.lag)
             );
             for op in &s.ops {

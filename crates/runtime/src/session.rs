@@ -21,6 +21,14 @@
 //! and external feeds entering downstream of an anchor) is pooled and
 //! forwarded during *sweeps*.
 //!
+//! Dispatch is remote-first: every walk over a stage's shards — routing
+//! a batch, flushing run builders, broadcasting a watermark, collecting
+//! a barrier — sends the remote workers their messages before the
+//! driver runs its own inline slots, so the workers compute while the
+//! driver does its share instead of after it. Slots are independent
+//! sessions and each slot's message order is unchanged, so the order of
+//! the walk never shows in the output.
+//!
 //! A sweep walks the stages in order. For each stage it forwards the
 //! pooled input whose timestamps the watermark has sealed — sorted into
 //! the canonical `(ts, entry, port, content)` order, so the exchange
@@ -36,7 +44,13 @@
 //! that moves the watermark runs an *eager* sweep, so stage N+1 consumes
 //! a sealed interval while stage N produces the next one. Drains and
 //! `finish` run the same sweep as a barrier that also releases held
-//! sink output.
+//! sink output. A drain skips the watermark broadcast and the barrier of
+//! every stage that is *clean*: drained at the current watermark with no
+//! input pushed into any of its slots since. An [`ExecSession`] only has
+//! new output after a push or a watermark move, so the skipped barrier
+//! would have collected nothing; the drain a server or driver issues
+//! right after the eager sweep of the same push is the common case.
+//! `finish` always barriers.
 //!
 //! ## Watermark discipline and determinism
 //!
@@ -272,6 +286,10 @@ struct StagedCore {
     plan: ShardPlan,
     shards: usize,
     n_workers: usize,
+    /// Every shard once, remote-worker shards first: each per-shard
+    /// walk hands the workers their messages before the driver runs its
+    /// own inline slots, so the threads overlap instead of taking turns.
+    dispatch_order: Vec<usize>,
     batch_size: usize,
     pool: BatchPool,
     stages: Vec<StageMeta>,
@@ -303,6 +321,11 @@ struct StagedCore {
     /// Eager intervals forwarded into each stage since its last
     /// drain/finish barrier (mirrors the interval-depth gauge).
     eager_depth: Vec<u64>,
+    /// Per stage: the watermark of its last drain barrier, cleared by
+    /// any push into one of its slots. A stage clean at the sweep's
+    /// watermark has nothing to drain (an [`ExecSession`] only emits
+    /// after a push or a watermark move), so its barrier is skipped.
+    clean_at: Vec<Option<u64>>,
     /// Reused forward-sort scratch (see [`StagedCore::sweep`]).
     fwd_buf: Vec<(ForwardKey, PoolEntry)>,
     /// Reused not-yet-sealed partition scratch for the sweep.
@@ -364,6 +387,7 @@ impl StagedCore {
         let slot = self.slot_id(stage, shard);
         let local = self.stages[stage].local_of[node].expect("routed node belongs to its stage");
         let tuples = batch.len();
+        self.clean_at[stage] = None;
         self.telem.routed(stage, shard).add(tuples as u64);
         self.telem.journal().record(TraceDetail::ShardRouted {
             stage,
@@ -495,12 +519,13 @@ impl StagedCore {
         for (t, &s) in batch.into_vec().into_iter().zip(&row_shard) {
             per_shard[s].push(t);
         }
-        for (shard, rows) in per_shard.iter_mut().enumerate() {
-            if rows.is_empty() {
+        for i in 0..self.shards {
+            let shard = self.dispatch_order[i];
+            if per_shard[shard].is_empty() {
                 continue;
             }
             self.flush_builder(0, shard)?;
-            let mut run = Batch::from(std::mem::take(rows));
+            let mut run = Batch::from(std::mem::take(&mut per_shard[shard]));
             if run.len() >= COLUMNAR_MIN_CHUNK {
                 run.columnarize();
             }
@@ -560,7 +585,8 @@ impl StagedCore {
                     }
                 }
                 let cols = batch.take_columns().expect("columnar batch");
-                for shard in 0..self.shards {
+                for i in 0..self.shards {
+                    let shard = self.dispatch_order[i];
                     if !row_shard.contains(&shard) {
                         continue;
                     }
@@ -685,7 +711,8 @@ impl StagedCore {
 
     /// Advance the watermark on every shard of `stage`.
     fn advance_stage(&mut self, stage: usize, watermark: u64) -> Result<()> {
-        for shard in 0..self.shards {
+        for i in 0..self.shards {
+            let shard = self.dispatch_order[i];
             let slot = self.slot_id(stage, shard);
             let worker = self.worker_of(shard);
             if worker == 0 {
@@ -704,11 +731,15 @@ impl StagedCore {
     }
 
     /// Collect every shard of `stage` (drain or finish), in shard order.
+    /// The remote requests go out before the driver drains its inline
+    /// slots; only the wait for replies after that counts as barrier
+    /// wait.
     fn barrier(&mut self, stage: usize, op: BarrierOp) -> Result<Vec<SlotOutput>> {
         let mut results: BTreeMap<usize, SlotOutput> = BTreeMap::new();
         let mut errors: Vec<String> = Vec::new();
         let mut expected_remote = 0usize;
-        for shard in 0..self.shards {
+        for i in 0..self.shards {
+            let shard = self.dispatch_order[i];
             let slot = self.slot_id(stage, shard);
             let worker = self.worker_of(shard);
             if worker == 0 {
@@ -735,6 +766,7 @@ impl StagedCore {
                 }
             }
         }
+        let wait_t0 = (expected_remote > 0).then(Instant::now);
         for _ in 0..expected_remote {
             match self.reply_rx.recv() {
                 Ok(Reply { slot, result }) => match result {
@@ -751,6 +783,11 @@ impl StagedCore {
                     break;
                 }
             }
+        }
+        if let Some(t0) = wait_t0 {
+            self.telem
+                .barrier_wait_ns(stage)
+                .add(t0.elapsed().as_nanos() as u64);
         }
         if !errors.is_empty() {
             return Err(self.fail(errors.join("; ")));
@@ -920,15 +957,20 @@ impl StagedCore {
                     .pool_depth(stage)
                     .set(self.pools[stage].len() as i64);
             }
-            for shard in 0..self.shards {
-                self.flush_builder(stage, shard)?;
+            for i in 0..self.shards {
+                self.flush_builder(stage, self.dispatch_order[i])?;
             }
             let seal_t0 = self.trace_live.then(Instant::now);
             let collected = if finish {
                 self.barrier(stage, BarrierOp::Finish)?
+            } else if self.clean_at[stage] == Some(wm) {
+                self.telem.barriers_skipped(stage).inc();
+                Vec::new()
             } else {
                 self.advance_stage(stage, wm)?;
-                self.barrier(stage, BarrierOp::Drain)?
+                let collected = self.barrier(stage, BarrierOp::Drain)?;
+                self.clean_at[stage] = Some(wm);
+                collected
             };
             if !eager {
                 let prev = self.sealed[stage];
@@ -1184,6 +1226,9 @@ impl ShardedSession {
             .map(|n| n.get())
             .unwrap_or(1);
         let n_workers = workers.unwrap_or(cores).clamp(1, shards);
+        let (inline_shards, remote_shards): (Vec<usize>, Vec<usize>) =
+            (0..shards).partition(|&shard| shard % n_workers == 0);
+        let dispatch_order = [remote_shards, inline_shards].concat();
         let pool = BatchPool::new(pool_buffers);
 
         let mut is_real_sink = vec![false; n];
@@ -1293,6 +1338,7 @@ impl ShardedSession {
                 plan,
                 shards,
                 n_workers,
+                dispatch_order,
                 batch_size,
                 pool,
                 stages,
@@ -1312,6 +1358,7 @@ impl ShardedSession {
                 telem,
                 eager_swept: 0,
                 eager_depth: vec![0; num_stages],
+                clean_at: vec![None; num_stages],
                 fwd_buf: Vec::new(),
                 keep_buf: Vec::new(),
                 direct_scratch: Vec::new(),

@@ -3,9 +3,10 @@
 //! [`SessionTelemetry`] is the bundle of live handles a
 //! [`crate::session::ShardedSession`] updates while it runs: per-stage
 //! and per-shard routing counters, exchange forward counts, stage pool
-//! depths, the sealed watermark, per-stage **watermark-lag** quantile
-//! sketches, the per-operator [`OpTelemetry`] counters harvested from
-//! every stage×shard [`ustream_core::query::ExecSession`], and the
+//! depths, barrier wait and skipped-barrier counters, the sealed
+//! watermark, per-stage **watermark-lag** quantile sketches, the
+//! per-operator [`OpTelemetry`] counters harvested from every
+//! stage×shard [`ustream_core::query::ExecSession`], and the
 //! structured [`EventJournal`]. Every handle is a relaxed atomic cell
 //! (or, for the journal, batch-granular), so the session leaves all of
 //! it enabled in production.
@@ -69,6 +70,12 @@ pub struct SessionTelemetry {
     interval_depth: Vec<Gauge>,
     /// Pending exchange-pool depth per stage, sampled at each sweep.
     pool_depth: Vec<Gauge>,
+    /// Nanoseconds the driver spent blocked on worker replies at each
+    /// stage's drain/finish barriers.
+    barrier_wait_ns: Vec<Counter>,
+    /// Drain barriers skipped per stage because no slot of the stage
+    /// had received input since the last barrier at the same watermark.
+    barriers_skipped: Vec<Counter>,
     /// The most recently sealed watermark.
     pub watermark_sealed: Gauge,
     /// Per-stage watermark-lag sketches (see module docs).
@@ -100,6 +107,8 @@ impl SessionTelemetry {
             eager_forwards: (0..stages).map(|_| Counter::new()).collect(),
             interval_depth: (0..stages).map(|_| Gauge::new()).collect(),
             pool_depth: (0..stages).map(|_| Gauge::new()).collect(),
+            barrier_wait_ns: (0..stages).map(|_| Counter::new()).collect(),
+            barriers_skipped: (0..stages).map(|_| Counter::new()).collect(),
             watermark_sealed: Gauge::new(),
             watermark_lag: (0..stages).map(|_| QuantileSketch::new()).collect(),
             ops: Vec::new(),
@@ -147,6 +156,18 @@ impl SessionTelemetry {
     /// Pending exchange-pool depth of `stage` at the last sweep.
     pub fn pool_depth(&self, stage: usize) -> &Gauge {
         &self.pool_depth[stage]
+    }
+
+    /// Nanoseconds the driver spent blocked on worker replies at
+    /// `stage`'s barriers (always 0 without remote workers).
+    pub fn barrier_wait_ns(&self, stage: usize) -> &Counter {
+        &self.barrier_wait_ns[stage]
+    }
+
+    /// Drain barriers of `stage` skipped because the stage was already
+    /// drained at the sweep's watermark.
+    pub fn barriers_skipped(&self, stage: usize) -> &Counter {
+        &self.barriers_skipped[stage]
     }
 
     /// The watermark-lag sketch of `stage`.
@@ -217,6 +238,14 @@ impl SessionTelemetry {
             "Pending exchange-pool depth per stage, sampled at each sweep",
         );
         registry.set_help(
+            "engine_barrier_wait_ns_total",
+            "Nanoseconds the driver spent blocked on worker replies at each stage's barriers",
+        );
+        registry.set_help(
+            "engine_barriers_skipped_total",
+            "Drain barriers skipped per stage because no slot received input since the last one",
+        );
+        registry.set_help(
             "engine_watermark_lag",
             "Event-time span sealed per stage seal (see README: watermark-lag semantics)",
         );
@@ -257,6 +286,16 @@ impl SessionTelemetry {
                 "engine_stage_pool_depth",
                 &[("stage", &s)],
                 &self.pool_depth[stage],
+            );
+            registry.adopt_counter(
+                "engine_barrier_wait_ns_total",
+                &[("stage", &s)],
+                &self.barrier_wait_ns[stage],
+            );
+            registry.adopt_counter(
+                "engine_barriers_skipped_total",
+                &[("stage", &s)],
+                &self.barriers_skipped[stage],
             );
             registry.adopt_sketch(
                 "engine_watermark_lag",

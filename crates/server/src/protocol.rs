@@ -470,6 +470,8 @@ fn put_plan_report(out: &mut Vec<u8>, r: &PlanReport) {
         out.extend_from_slice(&s.eager_forwards.to_be_bytes());
         out.extend_from_slice(&s.interval_depth.to_be_bytes());
         out.extend_from_slice(&s.pool_depth.to_be_bytes());
+        out.extend_from_slice(&s.barrier_wait_ns.to_be_bytes());
+        out.extend_from_slice(&s.barriers_skipped.to_be_bytes());
         put_sketch(out, &s.lag);
         out.extend_from_slice(&s.skew.to_bits().to_be_bytes());
         out.extend_from_slice(&(s.ops.len() as u32).to_be_bytes());
@@ -501,9 +503,9 @@ fn read_plan_report(rd: &mut Reader<'_>) -> WireResult<PlanReport> {
     let spans_recorded = rd.u64()?;
     let traces_sampled = rd.u64()?;
     let n_stages = rd.u32()? as usize;
-    // Each stage is at least 108 bytes (ids + counters + one sketch).
+    // Each stage is at least 124 bytes (ids + counters + one sketch).
     let floor = n_stages
-        .checked_mul(108)
+        .checked_mul(124)
         .ok_or(WireError::InvalidPayload("length overflow"))?;
     if floor > rd.remaining() {
         return Err(WireError::Truncated {
@@ -532,6 +534,8 @@ fn read_plan_report(rd: &mut Reader<'_>) -> WireResult<PlanReport> {
         let eager_forwards = rd.u64()?;
         let interval_depth = rd.i64()?;
         let pool_depth = rd.i64()?;
+        let barrier_wait_ns = rd.u64()?;
+        let barriers_skipped = rd.u64()?;
         let lag = read_sketch(rd)?;
         let skew = rd.f64()?;
         let n_ops = rd.u32()? as usize;
@@ -567,6 +571,8 @@ fn read_plan_report(rd: &mut Reader<'_>) -> WireResult<PlanReport> {
             eager_forwards,
             interval_depth,
             pool_depth,
+            barrier_wait_ns,
+            barriers_skipped,
             lag,
             skew,
             ops,
@@ -1207,6 +1213,8 @@ mod tests {
                     eager_forwards: 0,
                     interval_depth: 0,
                     pool_depth: 0,
+                    barrier_wait_ns: 0,
+                    barriers_skipped: 0,
                     lag: sample_sketch(),
                     skew: 1.5,
                     ops: vec![OpReport {
@@ -1229,6 +1237,8 @@ mod tests {
                     eager_forwards: 9,
                     interval_depth: 3,
                     pool_depth: -2,
+                    barrier_wait_ns: 1_234_567,
+                    barriers_skipped: 41,
                     lag: SketchSnapshot {
                         count: 0,
                         min: 0.0,

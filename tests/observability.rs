@@ -358,6 +358,16 @@ fn plan_report_reconciles_with_the_session_telemetry() {
     assert_eq!(s1.interval_depth, telem.interval_depth(1).get());
     assert_eq!(s1.interval_depth, 0, "finish barrier resets the depth");
 
+    // Barrier accounting reads the live cells. Two workers means the
+    // driver waited on remote replies at every stage's barriers; this
+    // feed is never drained mid-stream, so no drain barrier was skipped.
+    for (stage, s) in report.stages.iter().enumerate() {
+        assert_eq!(s.barrier_wait_ns, telem.barrier_wait_ns(stage).get());
+        assert!(s.barrier_wait_ns > 0, "stage {stage} waited on worker 1");
+        assert_eq!(s.barriers_skipped, telem.barriers_skipped(stage).get());
+        assert_eq!(s.barriers_skipped, 0);
+    }
+
     // The rendered tree carries the topology and the live annotations.
     let text = report.render();
     assert!(text.contains("stage 0"), "topology present:\n{text}");
@@ -368,6 +378,10 @@ fn plan_report_reconciles_with_the_session_telemetry() {
     );
     assert!(text.contains("sampled batches"));
     assert!(text.contains("aggregate#"));
+    assert!(
+        text.contains("barrier wait ") && text.contains(" skipped)"),
+        "barrier accounting rendered:\n{text}"
+    );
 }
 
 // ---------------------------------------------------------------------

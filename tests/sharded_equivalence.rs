@@ -19,6 +19,7 @@ use uncertain_streams::core::{
     canonical_sort, EngineError, GroupKey, NodeId, QueryGraph, Tuple, Updf, Value,
 };
 use uncertain_streams::prob::dist::Dist;
+use uncertain_streams::runtime::session::ShardedSession;
 use uncertain_streams::runtime::ShardedExecutor;
 use uncertain_streams::telemetry::{MetricValue, MetricsRegistry, TraceDetail};
 
@@ -721,6 +722,23 @@ fn pipelined_delivery_matrix_matches_run_batched() {
     }
 }
 
+/// Full rendering of a tuple run: every value (distribution parameters
+/// included), ts, existence bits, and lineage, one line per tuple.
+fn render_rows(tuples: &[Tuple]) -> String {
+    tuples
+        .iter()
+        .map(|t| {
+            format!(
+                "{:?}|{}|{:x}|{:?}\n",
+                t.values(),
+                t.ts,
+                t.existence.to_bits(),
+                t.lineage
+            )
+        })
+        .collect()
+}
+
 /// Byte for byte across deployments: the merged output rendering (full
 /// Debug of every distribution parameter, existence bits, lineage) is
 /// the same at every shard/worker config, and equals `run_batched`'s
@@ -733,19 +751,6 @@ fn pipelined_delivery_renders_identical_bytes() {
             ("readings".to_string(), 0usize, readings.clone()),
             ("refs".to_string(), 1usize, refs.clone()),
         ]
-    };
-    let render_rows = |tuples: &[Tuple]| -> String {
-        tuples
-            .iter()
-            .map(|t| {
-                format!(
-                    "{:?}|{:x}|{:?}\n",
-                    t.values(),
-                    t.existence.to_bits(),
-                    t.lineage
-                )
-            })
-            .collect()
     };
     let render = |shards: usize, workers: usize| -> String {
         let exec = ShardedExecutor::new(shards)
@@ -1052,26 +1057,30 @@ fn routing_key_panic_surfaces_as_error() {
 /// `ShardedExecutor::run` does (coalescing per-(node, port) batches),
 /// so telemetry tests observe the production push pattern.
 fn push_feed(
-    session: &mut uncertain_streams::runtime::session::ShardedSession,
+    session: &mut ShardedSession,
     inputs: Vec<(String, usize, Vec<Tuple>)>,
     batch_size: usize,
 ) {
-    let feed = session.ordered_feed(inputs).unwrap();
-    let mut cur: Option<(NodeId, usize, Batch)> = None;
-    for (_, node, port, tuple) in feed {
-        match &mut cur {
+    for (node, port, batch) in feed_batches(session, inputs, batch_size) {
+        session.push_batch(node, port, batch).unwrap();
+    }
+}
+
+/// Cut a ts-ordered feed into the batches `ShardedExecutor::run` would
+/// push: consecutive same-(node, port) runs of at most `batch_size`.
+fn feed_batches(
+    session: &ShardedSession,
+    inputs: Vec<(String, usize, Vec<Tuple>)>,
+    batch_size: usize,
+) -> Vec<(NodeId, usize, Batch)> {
+    let mut batches: Vec<(NodeId, usize, Batch)> = Vec::new();
+    for (_, node, port, tuple) in session.ordered_feed(inputs).unwrap() {
+        match batches.last_mut() {
             Some((n, p, b)) if *n == node && *p == port && b.len() < batch_size => b.push(tuple),
-            slot => {
-                if let Some((n, p, b)) = slot.take() {
-                    session.push_batch(n, p, b).unwrap();
-                }
-                *slot = Some((node, port, Batch::one(tuple)));
-            }
+            _ => batches.push((node, port, Batch::one(tuple))),
         }
     }
-    if let Some((n, p, b)) = cur {
-        session.push_batch(n, p, b).unwrap();
-    }
+    batches
 }
 
 #[test]
@@ -1185,6 +1194,8 @@ fn staged_run_with_registry_bound_is_byte_identical_and_counters_reconcile() {
     assert!(text.contains("# TYPE engine_tuples_pushed_total counter"));
     assert!(text.contains("engine_watermark_lag{stage=\"0\",quantile=\"0.5\"}"));
     assert!(text.contains("engine_op_tuples_in_total{op=\"select\""));
+    assert!(text.contains("engine_barrier_wait_ns_total{stage=\"1\"}"));
+    assert!(text.contains("engine_barriers_skipped_total{stage=\"1\"}"));
 }
 
 #[test]
@@ -1217,4 +1228,152 @@ fn single_pipeline_session_telemetry_reconciles_without_perturbation() {
         .all()
         .iter()
         .any(|e| matches!(e.detail, TraceDetail::BatchPumped { .. })));
+}
+
+// ---------------------------------------------------------------------
+// Session cadence: the server and the benchmark push a batch, advance
+// the watermark, and drain after every batch. Most of those drains
+// find every stage already drained at the current watermark by the
+// eager sweep, and skip their barriers; the skip must never change the
+// output or hide a failed slot.
+// ---------------------------------------------------------------------
+
+/// The deployments a query must agree across: worker pools of one
+/// thread, two threads, and one thread per core.
+fn worker_counts() -> Vec<usize> {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let mut counts = vec![1, 2, cores];
+    counts.sort_unstable();
+    counts.dedup();
+    counts
+}
+
+#[test]
+fn session_cadence_matches_run_batched_across_deployments() {
+    let (readings, refs) = agg_join_inputs();
+    let feeds = || {
+        vec![
+            ("readings".to_string(), 0usize, readings.clone()),
+            ("refs".to_string(), 1usize, refs.clone()),
+        ]
+    };
+    let (mut g, sink) = agg_join_graph();
+    let mut batched = g.run_batched(feeds(), 64).unwrap().remove(&sink).unwrap();
+    canonical_sort(&mut batched);
+    let reference = render_rows(&batched);
+    assert!(!batched.is_empty(), "windows joined against references");
+
+    for shards in [2usize, 8] {
+        for workers in worker_counts() {
+            let exec = ShardedExecutor::new(shards)
+                .with_workers(workers)
+                .with_batch_size(48);
+            let mut session = exec.session(|| agg_join_graph().0).unwrap();
+            let telem = session.telemetry().clone();
+            let batches = feed_batches(&session, feeds(), 48);
+            // Each batch's watermark is where the next batch starts: no
+            // later push carries an earlier timestamp.
+            let next_ts: Vec<u64> = batches
+                .iter()
+                .skip(1)
+                .map(|(_, _, b)| b.as_slice()[0].ts)
+                .collect();
+            let mut out: Vec<Tuple> = Vec::new();
+            for (k, (node, port, batch)) in batches.into_iter().enumerate() {
+                let watermark = next_ts.get(k).copied().unwrap_or(0);
+                session.push_batch(node, port, batch).unwrap();
+                session.advance_watermark(watermark).unwrap();
+                for (s, tuples) in session.drain_collected().unwrap() {
+                    assert_eq!(s, sink);
+                    out.extend(tuples);
+                }
+                assert!(
+                    session.drain_collected().unwrap().is_empty(),
+                    "a second drain at an unchanged watermark releases nothing \
+                     (shards={shards} workers={workers})"
+                );
+            }
+            if let Some(rest) = session.finish().unwrap().remove(&sink) {
+                out.extend(rest);
+            }
+            assert_eq!(
+                reference,
+                render_rows(&out),
+                "session cadence diverged at shards={shards} workers={workers}"
+            );
+            let skipped: u64 = (0..telem.num_stages())
+                .map(|stage| telem.barriers_skipped(stage).get())
+                .sum();
+            assert!(
+                skipped > 0,
+                "drains after an eager sweep must skip their barriers \
+                 (shards={shards} workers={workers})"
+            );
+        }
+    }
+}
+
+/// A slot on the remote worker panics on a batch that does not move
+/// the watermark, so no eager sweep runs after the push: the drain that
+/// follows must still barrier on that slot and report the failure.
+#[test]
+fn poisoned_remote_slot_is_never_masked_by_a_skipped_barrier() {
+    let schema = Schema::builder().field("v", DataType::Int).build();
+    // Eight tuples per timestamp, pushed four at a time: every second
+    // batch lands at the current watermark.
+    let inputs: Vec<Tuple> = (0..512u64)
+        .map(|i| Tuple::new(schema.clone(), vec![Value::Int(i as i64)], i / 8))
+        .collect();
+    // Spread routing deals tuple i to shard i % 2, and shard 1 lives on
+    // worker 1. v = 255 is the last tuple of the second batch at ts 31.
+    let trigger = 255;
+    let exec = ShardedExecutor::new(2).with_workers(2).with_batch_size(4);
+    let mut session = exec.session(|| panic_graph(trigger).0).unwrap();
+    let batches = feed_batches(&session, vec![("in".into(), 0, inputs)], 4);
+    let expect_panicked = |call: &str, r: Result<(), EngineError>| match r {
+        Err(EngineError::OperatorPanicked(msg)) => assert!(
+            msg.contains("worker 1") && msg.contains("injected operator failure"),
+            "{call}: {msg}"
+        ),
+        other => panic!("{call}: expected OperatorPanicked, got {other:?}"),
+    };
+
+    let mut released = 0usize;
+    let mut failed_at = None;
+    for (k, (node, port, batch)) in batches.into_iter().enumerate() {
+        let holds_trigger = batch
+            .as_slice()
+            .iter()
+            .any(|t| t.int("v").ok() == Some(trigger));
+        let watermark = batch.max_ts().unwrap();
+        if failed_at.is_some() {
+            expect_panicked("push_batch", session.push_batch(node, port, batch));
+            expect_panicked("advance_watermark", session.advance_watermark(watermark));
+            expect_panicked("drain_collected", session.drain_collected().map(|_| ()));
+            continue;
+        }
+        let step = session
+            .push_batch(node, port, batch)
+            .and_then(|()| session.advance_watermark(watermark))
+            .and_then(|()| session.drain_collected());
+        match step {
+            Ok(out) => {
+                assert!(
+                    !holds_trigger,
+                    "the drain after the poisoning push returned Ok"
+                );
+                released += out.iter().map(|(_, t)| t.len()).sum::<usize>();
+            }
+            Err(e) => {
+                assert!(holds_trigger, "batch {k} failed without the trigger: {e:?}");
+                expect_panicked("the observing call", Err(e));
+                failed_at = Some(k);
+            }
+        }
+    }
+    assert!(failed_at.is_some(), "the trigger must surface");
+    assert!(released > 0, "output before the trigger drained normally");
+    expect_panicked("finish", session.finish().map(|_| ()));
 }
