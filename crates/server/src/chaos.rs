@@ -193,6 +193,10 @@ fn proxy_connection(client: TcpStream, upstream: SocketAddr, faults: Vec<Fault>)
         let _ = client.shutdown(Shutdown::Both);
         return;
     };
+    // The same transport as a direct connection: without this, every
+    // proxied frame would wait out the peer's delayed ACK.
+    let _ = client.set_nodelay(true);
+    let _ = server.set_nodelay(true);
     let (Ok(client_r), Ok(server_r)) = (client.try_clone(), server.try_clone()) else {
         return;
     };
@@ -227,16 +231,18 @@ fn copy_until_eof(mut from: TcpStream, mut to: &TcpStream) {
 /// the server stops accepting bytes.
 fn pump_frames(mut client: TcpStream, mut server: &TcpStream, faults: &[Fault]) {
     let mut frame_index = 0u64;
-    let mut header = [0u8; FRAME_HEADER_LEN];
+    let mut frame = vec![0u8; FRAME_HEADER_LEN];
     loop {
-        if client.read_exact(&mut header).is_err() {
+        frame.resize(FRAME_HEADER_LEN, 0);
+        if client.read_exact(&mut frame).is_err() {
             return;
         }
-        let len = u32::from_be_bytes([header[4], header[5], header[6], header[7]]) as usize;
-        let mut payload = vec![0u8; len];
-        if client.read_exact(&mut payload).is_err() {
+        let len = u32::from_be_bytes([frame[4], frame[5], frame[6], frame[7]]) as usize;
+        frame.resize(FRAME_HEADER_LEN + len, 0);
+        if client.read_exact(&mut frame[FRAME_HEADER_LEN..]).is_err() {
             return;
         }
+        let (header, payload) = frame.split_at(FRAME_HEADER_LEN);
         for fault in faults.iter().filter(|f| f.frame() == frame_index) {
             match *fault {
                 Fault::Delay { millis, .. } => {
@@ -249,7 +255,7 @@ fn pump_frames(mut client: TcpStream, mut server: &TcpStream, faults: &[Fault]) 
                 Fault::CutMidFrame { .. } => {
                     let torn = &payload[..len / 2];
                     let _ = server
-                        .write_all(&header)
+                        .write_all(header)
                         .and_then(|_| server.write_all(torn));
                     let _ = server.flush();
                     let _ = client.shutdown(Shutdown::Both);
@@ -257,9 +263,9 @@ fn pump_frames(mut client: TcpStream, mut server: &TcpStream, faults: &[Fault]) 
                 }
             }
         }
+        // One write per frame, like `wire::write_frame`.
         if server
-            .write_all(&header)
-            .and_then(|_| server.write_all(&payload))
+            .write_all(&frame)
             .and_then(|_| server.flush())
             .is_err()
         {

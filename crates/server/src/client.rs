@@ -576,6 +576,9 @@ fn dial(addrs: &[SocketAddr], config: &ClientConfig) -> ClientResult<TcpStream> 
     for addr in addrs {
         match TcpStream::connect_timeout(addr, config.connect_timeout) {
             Ok(stream) => {
+                // Requests are whole frames awaiting a reply; Nagle
+                // would only delay them behind the server's delayed ACK.
+                stream.set_nodelay(true)?;
                 stream.set_read_timeout(config.read_timeout)?;
                 stream.set_write_timeout(config.write_timeout)?;
                 return Ok(stream);

@@ -9,7 +9,15 @@
 //! - each **handler thread** reads framed requests and forwards decoded
 //!   publishes into the engine's bounded inbox — a full inbox blocks the
 //!   handler *before* it acknowledges, so backpressure reaches the
-//!   publisher as a delayed `Ack`;
+//!   publisher as a delayed `Ack`. The inbox holds 4 messages: each
+//!   slot can carry a whole decoded publish frame, so the bound caps
+//!   the server's buffered memory and the queueing delay a frame waits
+//!   behind a fast publisher;
+//! - every socket carries `TCP_NODELAY` and every frame goes out in one
+//!   write ([`crate::wire::write_frame`]), so a request/response round
+//!   trip never waits out the peer's delayed-ACK timer (~40 ms on
+//!   Linux) — Nagle would hold a frame's second write until the first
+//!   was acknowledged;
 //! - one **engine thread** owns the session — a
 //!   [`ustream_runtime::session::ShardedSession`], the incremental
 //!   sharded engine. It merges the per-publisher queues into a single
@@ -40,8 +48,10 @@
 //! [`QueryGraph::run_batched`] builds — so the concatenation of every
 //! `Results` frame a subscriber receives equals the `run_batched`
 //! output over the merged input, values/timestamps/existence/lineage
-//! included (ties across publishers break by connection id). The
-//! loopback integration suite asserts exactly this.
+//! included (ties across publishers break by connection id). This
+//! needs every publisher to have joined (`Hello`) before the others'
+//! tuples are released: the merge cannot wait for a publisher it has
+//! not heard of. The loopback integration suite asserts exactly this.
 //!
 //! **End of stream.** Each publisher declares itself via `Hello` and
 //! closes with `Finish`. When every publisher has finished, the engine
@@ -309,8 +319,6 @@ pub enum SubscriberPolicy {
 pub struct ServerConfig {
     /// Target tuples per [`Batch`] pushed into the session.
     pub batch_size: usize,
-    /// Bound on in-flight engine messages (publish backpressure depth).
-    pub inbox_capacity: usize,
     /// Bound on undelivered result frames per subscriber (a slow
     /// subscriber triggers [`ServerConfig::subscriber_policy`] rather
     /// than ballooning memory).
@@ -345,7 +353,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             batch_size: 512,
-            inbox_capacity: 256,
             subscriber_capacity: 64,
             lease: Duration::from_secs(5),
             subscriber_policy: SubscriberPolicy::Block,
@@ -357,6 +364,20 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// Bound on in-flight engine messages: the publish backpressure depth.
+///
+/// A publish is acked as soon as it is enqueued, so every slot can hold
+/// a whole decoded frame (`Vec<Tuple>`, hundreds of tuples) that the
+/// engine has not merged yet. A fast publisher keeps the inbox full, so
+/// the capacity sets both the server's buffered memory and the queueing
+/// delay a frame waits behind the frames ahead of it. With one
+/// publisher of 256-tuple frames on 2 CPUs, server peak RSS is about
+/// 6.2 MiB at 4 slots, 7 MiB at 16 and 16-19 MiB at 256 (~65k buffered
+/// tuples). A deeper inbox absorbs bursts (256 slots sustained a higher
+/// open-loop publish rate) only by holding that much more acknowledged,
+/// unmerged data, so the bound stays small on purpose.
+const INBOX_CAPACITY: usize = 4;
 
 /// What handler threads send the engine. Publisher-side messages are
 /// keyed by *session* id, which survives reconnects — a resumed
@@ -688,6 +709,9 @@ struct ServerMetrics {
     /// [`ServerHandle::take_errors`] over the server's lifetime.
     errors_transient: Counter,
     errors_fatal: Counter,
+    /// Messages still queued in the engine inbox, sampled by the engine
+    /// thread at each receive; never above [`INBOX_CAPACITY`].
+    inbox_depth: Gauge,
 }
 
 impl ServerMetrics {
@@ -711,6 +735,7 @@ impl ServerMetrics {
             errors_transient: registry
                 .counter_with("server_errors_total", &[("severity", "transient")]),
             errors_fatal: registry.counter_with("server_errors_total", &[("severity", "fatal")]),
+            inbox_depth: registry.gauge("server_inbox_depth"),
         }
     }
 }
@@ -836,7 +861,7 @@ impl Server {
         }
         let watchdog = HealthWatchdog::new(health, registry.clone(), journal.clone());
 
-        let (engine_tx, engine_rx) = bounded::<EngineMsg>(config.inbox_capacity);
+        let (engine_tx, engine_rx) = bounded::<EngineMsg>(INBOX_CAPACITY);
         let shared = Arc::new(Shared {
             engine_tx: engine_tx.clone(),
             sources,
@@ -883,6 +908,10 @@ impl Server {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                // Frames are self-delimiting and written whole; Nagle
+                // would only hold back-to-back frames (a `Results` burst)
+                // behind the peer's delayed ACK.
+                let _ = stream.set_nodelay(true);
                 let client_id = next_id.fetch_add(1, Ordering::Relaxed);
                 let shared = accept_shared.clone();
                 std::thread::spawn(move || handle_client(stream, client_id, shared));
@@ -1043,7 +1072,7 @@ impl Engine {
     fn run(mut self) {
         // The loop ends when every sender handle drops (server torn
         // down) or an early-return arm fires.
-        while let Ok(msg) = self.rx.recv() {
+        while let Some(msg) = self.recv() {
             match msg {
                 EngineMsg::Joined { session } => {
                     self.pubs.entry(session).or_default();
@@ -1115,6 +1144,14 @@ impl Engine {
                 return;
             }
         }
+    }
+
+    /// Take the next inbox message (`None` once every sender is gone)
+    /// and publish how many are still queued behind it.
+    fn recv(&self) -> Option<EngineMsg> {
+        let msg = self.rx.recv().ok();
+        self.shared.m.inbox_depth.set(self.rx.len() as i64);
+        msg
     }
 
     /// Merge the per-publisher queues up to the collective watermark,
@@ -1269,7 +1306,7 @@ impl Engine {
     /// the merge gate, and acknowledged-but-unprocessable publishes are
     /// recorded instead of vanishing.
     fn post_eos_loop(&mut self) {
-        while let Ok(msg) = self.rx.recv() {
+        while let Some(msg) = self.recv() {
             match msg {
                 EngineMsg::Subscribe {
                     client,
@@ -1364,9 +1401,11 @@ impl Engine {
 
     fn broadcast_eos(&mut self) {
         for sub in self.subs.drain(..) {
+            // Count before queueing: a subscriber that reads its `Eos`
+            // and asks `StatsV2` at once must find the `Eos` counted.
+            self.shared.m.eos.inc();
             sub.queue.push_eos();
             sub.depth.set(sub.queue.depth() as i64);
-            self.shared.m.eos.inc();
         }
     }
 }

@@ -918,17 +918,22 @@ pub fn decode_batch(r: &mut Reader<'_>) -> WireResult<Batch> {
 // ---------------------------------------------------------------------
 
 /// Write one `[magic, version, kind, len, payload]` frame.
+///
+/// Header and payload go out in a single `write_all`. Two writes on a
+/// socket would let Nagle's algorithm hold the payload until the peer
+/// ACKs the header — and the peer, blocked reading that payload, only
+/// ACKs when its delayed-ACK timer (~40 ms on Linux) fires.
 pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> WireResult<()> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge(payload.len()));
     }
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[0..2].copy_from_slice(&MAGIC);
-    header[2] = WIRE_VERSION;
-    header[3] = kind;
-    header[4..8].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.push(WIRE_VERSION);
+    frame.push(kind);
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -1290,6 +1295,70 @@ mod tests {
             read_frame(&mut &buf[..buf.len() - 2]),
             Err(WireError::Io(std::io::ErrorKind::UnexpectedEof))
         ));
+    }
+
+    /// A `Write` that records how many `write` calls it saw.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        use crate::protocol::{write_request, write_response, Request, Response};
+        fn writes(f: impl FnOnce(&mut CountingWriter) -> WireResult<()>) -> usize {
+            let mut w = CountingWriter::default();
+            f(&mut w).unwrap();
+            assert!(read_frame(&mut w.bytes.as_slice()).is_ok());
+            w.writes
+        }
+        let s = Schema::builder().field("v", DataType::Int).build();
+        let tuples: Vec<Tuple> = (0..3)
+            .map(|i| Tuple::new(s.clone(), vec![Value::Int(i)], i as u64))
+            .collect();
+        assert_eq!(writes(|w| write_frame(w, 0x42, b"payload")), 1);
+        assert_eq!(writes(|w| write_frame(w, 0x42, b"")), 1);
+        let requests = [
+            Request::Hello { publisher: true },
+            Request::Heartbeat { watermark: 7 },
+            Request::Publish {
+                source: "in".into(),
+                port: 0,
+                seq: Some(1),
+                tuples: tuples.clone(),
+            },
+        ];
+        for req in &requests {
+            assert_eq!(writes(|w| write_request(w, req)), 1, "{req:?}");
+        }
+        let responses = [
+            Response::Ack { count: 3 },
+            Response::HelloAck {
+                client_id: 1,
+                token: Some(2),
+            },
+            Response::Results {
+                sink: 0,
+                seq: Some(0),
+                tuples,
+            },
+        ];
+        for resp in &responses {
+            assert_eq!(writes(|w| write_response(w, resp)), 1, "{resp:?}");
+        }
     }
 
     #[test]

@@ -187,6 +187,16 @@ pub mod channel {
             }
         }
 
+        /// Number of messages currently queued.
+        pub fn len(&self) -> usize {
+            self.shared.ring.lock().unwrap().buf.len()
+        }
+
+        /// Whether no message is currently queued.
+        pub fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
         /// Blocking iterator over messages until disconnect.
         pub fn iter(&self) -> Iter<'_, T> {
             Iter { rx: self }
@@ -312,6 +322,17 @@ mod tests {
         assert_eq!(rx.try_recv(), Ok(7));
         drop(tx);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn len_counts_queued_messages() {
+        let (tx, rx) = bounded::<u32>(3);
+        assert!(rx.is_empty());
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(rx.len(), 2);
+        rx.recv().unwrap();
+        assert_eq!(rx.len(), 1);
     }
 
     #[test]

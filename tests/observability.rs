@@ -454,6 +454,23 @@ fn counter_total(metrics: &[MetricSnapshot], family: &str) -> u64 {
         .sum()
 }
 
+/// The server's engine inbox capacity (a private constant of the
+/// server); `server_inbox_depth` can never read above it.
+const INBOX_CAPACITY: i64 = 4;
+
+fn inbox_depth(metrics: &[MetricSnapshot]) -> i64 {
+    let depths: Vec<i64> = metrics
+        .iter()
+        .filter(|m| m.family == "server_inbox_depth")
+        .map(|m| match &m.value {
+            MetricValue::Gauge(v) => *v,
+            other => panic!("server_inbox_depth must be a gauge, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(depths.len(), 1, "one server_inbox_depth gauge");
+    depths[0]
+}
+
 #[test]
 fn explain_health_and_journal_tail_roundtrip_over_loopback() {
     let n = 1500;
@@ -481,6 +498,13 @@ fn explain_health_and_journal_tail_roundtrip_over_loopback() {
     let mut publisher = Client::publisher(addr).unwrap();
     for chunk in wire_inputs(n).chunks(64) {
         assert_eq!(publisher.publish("in", 0, chunk).unwrap(), chunk.len());
+        // Sampled mid-stream, the inbox depth stays within its bound.
+        let (metrics, _) = publisher.stats_v2().unwrap();
+        let depth = inbox_depth(&metrics);
+        assert!(
+            (0..=INBOX_CAPACITY).contains(&depth),
+            "server_inbox_depth {depth} outside 0..={INBOX_CAPACITY}"
+        );
     }
     publisher.finish().unwrap();
     let collected = subscriber.collect_until_eos().unwrap();
@@ -488,6 +512,7 @@ fn explain_health_and_journal_tail_roundtrip_over_loopback() {
 
     // EXPLAIN reconciles with StatsV2 — two views of the same cells.
     let (metrics, _) = subscriber.stats_v2().unwrap();
+    assert!((0..=INBOX_CAPACITY).contains(&inbox_depth(&metrics)));
     let report = subscriber.explain().unwrap();
     assert_eq!(report.tuples_pushed, n as u64);
     assert_eq!(

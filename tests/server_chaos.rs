@@ -239,15 +239,23 @@ fn run_seed_matrix(seed: u64) {
         .map(|p| ChaosProxy::seeded(addr, seed.wrapping_mul(1009).wrapping_add(p)).unwrap())
         .collect();
 
-    let threads: Vec<_> = proxies
+    // Every publisher joins before any publishes: the merge cannot wait
+    // for a publisher it has not heard of, so one that joined late
+    // could find older windows already closed without its tuples.
+    let clients: Vec<Client> = proxies
         .iter()
         .enumerate()
         .map(|(p, proxy)| {
-            let slice: Vec<Tuple> = all.iter().skip(p).step_by(3).cloned().collect();
-            let paddr = proxy.addr();
             let config = chaotic_client_config(seed.wrapping_add(p as u64));
+            Client::publisher_manual_with(proxy.addr(), config).unwrap()
+        })
+        .collect();
+    let threads: Vec<_> = clients
+        .into_iter()
+        .enumerate()
+        .map(|(p, mut client)| {
+            let slice: Vec<Tuple> = all.iter().skip(p).step_by(3).cloned().collect();
             std::thread::spawn(move || {
-                let mut client = Client::publisher_manual_with(paddr, config).unwrap();
                 for chunk in slice.chunks(37) {
                     let accepted = client.publish("in", 0, chunk).unwrap();
                     assert_eq!(accepted, chunk.len());
@@ -452,15 +460,21 @@ fn chaos_storm_over_pipelined_staged_serving() {
     let proxies: Vec<ChaosProxy> = (0..3)
         .map(|p| ChaosProxy::seeded(addr, 0xEA6EFu64.wrapping_mul(1009).wrapping_add(p)).unwrap())
         .collect();
-    let threads: Vec<_> = proxies
+    // Join before publishing, as in `run_seed_matrix`.
+    let clients: Vec<Client> = proxies
         .iter()
         .enumerate()
         .map(|(p, proxy)| {
-            let slice: Vec<Tuple> = all.iter().skip(p).step_by(3).cloned().collect();
-            let paddr = proxy.addr();
             let config = chaotic_client_config(0xEA6EF + p as u64);
+            Client::publisher_manual_with(proxy.addr(), config).unwrap()
+        })
+        .collect();
+    let threads: Vec<_> = clients
+        .into_iter()
+        .enumerate()
+        .map(|(p, mut client)| {
+            let slice: Vec<Tuple> = all.iter().skip(p).step_by(3).cloned().collect();
             std::thread::spawn(move || {
-                let mut client = Client::publisher_manual_with(paddr, config).unwrap();
                 for chunk in slice.chunks(37) {
                     let accepted = client.publish("in", 0, chunk).unwrap();
                     assert_eq!(accepted, chunk.len());
@@ -1080,6 +1094,9 @@ fn reconnecting_subscriber_resumes_from_replay_ring() {
     let mut first = raw_conn(addr);
     raw_hello(&mut first, false);
     protocol::write_request(&mut first, &Request::Subscribe { from: None }).unwrap();
+    // The ack means the subscription is registered, so the first
+    // publish below cannot overtake it.
+    raw_expect_ack(&mut first);
 
     let mut publisher = Client::publisher_manual(addr).unwrap();
     publisher.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
@@ -1187,6 +1204,9 @@ fn stale_subscriber_resume_gets_gap_for_evicted_frames() {
     let mut live = raw_conn(addr);
     raw_hello(&mut live, false);
     protocol::write_request(&mut live, &Request::Subscribe { from: None }).unwrap();
+    // The ack means the subscription is registered, so the first
+    // publish below cannot overtake it.
+    raw_expect_ack(&mut live);
     let mut publisher = Client::publisher_manual(addr).unwrap();
     publisher.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
     let mut seen = 0usize;

@@ -474,3 +474,29 @@ fn stats_serves_metrics_snapshots() {
     assert!(stats[0].calls > 0);
     handle.shutdown();
 }
+
+#[test]
+fn request_round_trips_do_not_wait_out_delayed_acks() {
+    // Each publish and heartbeat is a request/response round trip. A
+    // frame split over two socket writes, or Nagle left on, stalls each
+    // one behind the peer's ~40 ms delayed-ACK timer: 101 round trips
+    // would take over 4 s. Unstalled they take a few milliseconds; the
+    // bound leaves room for a slow machine.
+    let handle = Server::serve("127.0.0.1:0", ServedQuery::new(q1_graph().0)).unwrap();
+    let mut publisher = Client::publisher_manual(handle.addr()).unwrap();
+    publisher.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+    let all = inputs(100);
+    let start = std::time::Instant::now();
+    for t in all.chunks(1) {
+        assert_eq!(publisher.publish("in", 0, t).unwrap(), 1);
+    }
+    publisher.heartbeat(all.len() as u64).unwrap();
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(1500),
+        "101 loopback round trips took {elapsed:?}"
+    );
+    publisher.finish().unwrap();
+    let errors = handle.shutdown();
+    assert!(errors.is_empty(), "clean run: {errors:?}");
+}
