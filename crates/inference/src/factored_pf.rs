@@ -128,14 +128,9 @@ impl FactoredFilter {
         let k = elapsed as f64;
         let diffusion = self.cfg.motion.diffusion * k.sqrt();
         let move_prob = 1.0 - (1.0 - self.cfg.motion.move_prob).powf(k);
-        let eff = MotionModel {
-            diffusion,
-            move_prob,
-            shelf_xy: self.cfg.motion.shelf_xy.clone(),
-            placement_jitter: self.cfg.motion.placement_jitter,
-        };
+        let motion = &self.cfg.motion;
         let rng = &mut self.rng;
-        self.clouds[id].propagate(|p| eff.propagate(p, rng));
+        self.clouds[id].propagate(|p| motion.propagate_with(diffusion, move_prob, p, rng));
     }
 
     /// Process one scan: the reader at `reader_pos` read exactly the

@@ -28,13 +28,26 @@ pub struct MotionModel {
 impl MotionModel {
     /// Propagate one particle by one scan step.
     pub fn propagate(&self, p: &mut [f64; 2], rng: &mut StdRng) {
-        if !self.shelf_xy.is_empty() && rng.gen::<f64>() < self.move_prob {
+        self.propagate_with(self.diffusion, self.move_prob, p, rng);
+    }
+
+    /// Propagate one particle with `diffusion` and `move_prob` in place of
+    /// the model's own (several scans folded into one step), against the
+    /// model's shelves and jitter.
+    pub fn propagate_with(
+        &self,
+        diffusion: f64,
+        move_prob: f64,
+        p: &mut [f64; 2],
+        rng: &mut StdRng,
+    ) {
+        if !self.shelf_xy.is_empty() && rng.gen::<f64>() < move_prob {
             let s = self.shelf_xy[rng.gen_range(0..self.shelf_xy.len())];
             p[0] = s[0] + self.placement_jitter * gauss(rng);
             p[1] = s[1] + self.placement_jitter * gauss(rng);
         } else {
-            p[0] += self.diffusion * gauss(rng);
-            p[1] += self.diffusion * gauss(rng);
+            p[0] += diffusion * gauss(rng);
+            p[1] += diffusion * gauss(rng);
         }
     }
 }

@@ -26,6 +26,9 @@ pub struct RfidTOperator {
     emit_on_read_only: bool,
     /// Total tuples emitted (diagnostics).
     pub emitted: u64,
+    /// Object readings dropped because their tag id is outside the
+    /// filter's `0..num_objects` (diagnostics).
+    pub unknown_readings: u64,
 }
 
 impl RfidTOperator {
@@ -43,6 +46,7 @@ impl RfidTOperator {
             schema,
             emit_on_read_only: true,
             emitted: 0,
+            unknown_readings: 0,
         }
     }
 
@@ -88,14 +92,17 @@ impl TransformOperator for RfidTOperator {
     type Raw = Scan;
 
     fn ingest(&mut self, scan: Scan) -> Vec<Tuple> {
-        let read_objects: Vec<u32> = scan
-            .readings
-            .iter()
-            .filter_map(|r| match r.tag {
-                TagRef::Object(id) => Some(id),
-                TagRef::Shelf(_) => None,
-            })
-            .collect();
+        // Raw scans are sensor input: a tag id the filter does not track
+        // is dropped and counted, never used as an index.
+        let num_objects = self.filter.num_objects();
+        let mut read_objects: Vec<u32> = Vec::new();
+        for r in &scan.readings {
+            match r.tag {
+                TagRef::Object(id) if (id as usize) < num_objects => read_objects.push(id),
+                TagRef::Object(_) => self.unknown_readings += 1,
+                TagRef::Shelf(_) => {}
+            }
+        }
         // Prefer the reported pose; fall back to truth's reader position
         // only if every reading omitted it (pose dropout).
         let reader_pos = scan
@@ -112,7 +119,7 @@ impl TransformOperator for RfidTOperator {
             ids.dedup();
             ids
         } else {
-            (0..self.filter.num_objects() as u32).collect()
+            (0..num_objects as u32).collect()
         };
         let out: Vec<Tuple> = emit_ids
             .into_iter()
@@ -131,7 +138,7 @@ impl TransformOperator for RfidTOperator {
 mod tests {
     use super::*;
     use crate::model::{MotionModel, ObservationModel};
-    use rfid_sim::{SensingModel, TraceConfig, TraceGenerator, WorldConfig};
+    use rfid_sim::{RawReading, SensingModel, TraceConfig, TraceGenerator, WorldConfig};
     use ustream_prob::fit::ModelSelection;
 
     fn setup(policy: ConversionPolicy) -> (TraceGenerator, RfidTOperator) {
@@ -237,5 +244,44 @@ mod tests {
                 assert!(!lx.is_sample_based());
             }
         }
+    }
+
+    #[test]
+    fn unknown_tag_ids_are_dropped_and_counted() {
+        let (mut gen, mut clean) = setup(ConversionPolicy::FitGaussian);
+        let (_, mut dirty) = setup(ConversionPolicy::FitGaussian);
+        let render = |out: &[Tuple]| -> Vec<String> {
+            out.iter()
+                .map(|t| format!("{:?}|{}|{}", t.values(), t.ts, t.existence.to_bits()))
+                .collect()
+        };
+        // Warm both operators up on the same scans, then take a scan
+        // that read at least one object.
+        let scan = loop {
+            let scan = gen.next_scan();
+            let has_object = scan
+                .readings
+                .iter()
+                .any(|r| matches!(r.tag, TagRef::Object(_)));
+            if has_object && clean.emitted > 0 {
+                break scan;
+            }
+            assert_eq!(
+                render(&clean.ingest(scan.clone())),
+                render(&dirty.ingest(scan))
+            );
+        };
+        let mut bogus = scan.clone();
+        let last = bogus.readings.last().cloned().expect("a reading");
+        bogus.readings.push(RawReading {
+            tag: TagRef::Object(42),
+            ..last
+        });
+        let want = clean.ingest(scan);
+        let got = dirty.ingest(bogus);
+        assert!(!want.is_empty());
+        assert_eq!(render(&got), render(&want));
+        assert_eq!(dirty.unknown_readings, 1);
+        assert_eq!(clean.unknown_readings, 0);
     }
 }
